@@ -275,9 +275,6 @@ fn main() {
     .expect("initial service fit");
     let priors = ranking(&initial);
     drop(initial); // release every view of `live` so growth stays in place
-                   // the cache's ABA pins co-own the buffers; release them exactly as the
-                   // service's `observe` does so the append stays in place
-    service_cache.release_pins(live.fingerprint().buffers());
     let record = live.append(&tail_frame(n, 24));
     assert_eq!(
         record.kind,

@@ -95,8 +95,8 @@ pub struct ServiceLimits {
     /// Byte budget for the cross-run caches (transform-cache resident bytes
     /// plus an estimate of the stored frames the model cache keeps alive).
     /// When exceeded, model-cache entries are evicted least-recently-touched
-    /// first (oldest generation breaking ties) together with their
-    /// pointer-keyed transform-cache entries; `None` = unbounded.
+    /// first (oldest generation breaking ties) together with the
+    /// transform-cache entries on their buffers; `None` = unbounded.
     pub max_cache_bytes: Option<u64>,
 }
 
@@ -334,9 +334,8 @@ impl ForecastService {
             let mut state = lock_or_poisoned(&self.service_state)?;
             match state.iter_mut().find(|s| s.name == name) {
                 Some(slot) => {
-                    // the replaced frame's buffers are being retired: purge
-                    // every pointer-keyed cache entry that references them so
-                    // a future allocation can never collide with a stale key
+                    // the replaced frame's buffers are retired: free the
+                    // cache entries on them (their IDs never come back)
                     let retired = slot.frame.fingerprint();
                     self.cache.purge_buffers(retired.buffers());
                     slot.frame = frame;
@@ -405,17 +404,14 @@ impl ForecastService {
             let pre_len = slot.frame.len();
             // seed for the persistence baseline: the last row already stored
             let baseline_seed = pre_len.checked_sub(1).map(|last| slot.frame.row(last));
-            // the cache's ABA pins on these buffers would force a re-base;
-            // the store keeps the buffers alive, so the pins can be released
-            self.cache.release_pins(slot.frame.fingerprint().buffers());
             // take the frame out of the slot so the store itself is not a
             // co-owner; `extended` consumes it and detects unique ownership
             let frame =
                 std::mem::replace(&mut slot.frame, TimeSeriesFrame::from_columns(Vec::new()));
             let (grown, record) = frame.extended(new_rows);
             if !record.identity_preserved() {
-                // re-based: the old buffers are being retired, so pointer-
-                // keyed entries on them must go before a recycled allocation
+                // re-based: the old buffers are retired, so free the cache
+                // entries on them
                 self.cache.purge_buffers(record.base.buffers());
             }
             slot.frame = grown;
@@ -944,7 +940,7 @@ impl ForecastService {
     /// Evict model-cache entries — least-recently-touched first, oldest
     /// generation breaking ties — until the resident cache estimate fits
     /// [`ServiceLimits::max_cache_bytes`]. Each eviction also purges the
-    /// entry's pointer-keyed transform-cache state; when no entries remain
+    /// transform-cache state on the entry's buffers; when no entries remain
     /// and the transform cache alone still exceeds the budget, it is
     /// flushed outright (counted as one eviction).
     fn enforce_cache_budget(&self) {

@@ -9,11 +9,11 @@
 //!
 //! * **Sharing within a round** — datasets are memoized under a key of
 //!   (frame fingerprint, look-back, horizon). Frame fingerprints are buffer
-//!   addresses plus the view window (see
-//!   [`autoai_tsdata::FrameFingerprint`]), which is exact because the
-//!   zero-copy frame views produced by `slice()` share storage. Every cache
-//!   entry also stores a clone of its input frame, pinning the underlying
-//!   buffers so an address can never be recycled into a stale hit.
+//!   IDs plus the view window (see [`autoai_tsdata::FrameFingerprint`]),
+//!   which is exact because the zero-copy frame views produced by `slice()`
+//!   share storage, and an ID is never reused, so a key cannot outlive the
+//!   data it names. Entries hold no reference to a caller's buffers, so a
+//!   caller that uniquely owns a frame can still grow it in place.
 //! * **Extension across rounds** — when a requested view extends the
 //!   previously cached view of the same buffers (a suffix for reverse,
 //!   most-recent-first allocations; a prefix for forward allocations), only
@@ -21,7 +21,7 @@
 //!   are copied from the cached matrix.
 //! * **Lineage-verified extension for derived frames** — a [`frame_op`]
 //!   output (a log or difference pass) lives in fresh buffers every
-//!   allocation, so pointer identity can never link one round's output to
+//!   allocation, so buffer identity can never link one round's output to
 //!   the next. The cache therefore records each output's *lineage* (root
 //!   buffers plus the ordered tag chain) and, when a flatten request's
 //!   lineage matches the previous round's entry, verifies bitwise that the
@@ -100,7 +100,7 @@ struct FrameKey {
 /// identity.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Lineage {
-    buffers: Vec<usize>,
+    buffers: Vec<u64>,
     tags: Vec<String>,
 }
 
@@ -109,17 +109,11 @@ type ExtensionKey = (Lineage, usize, usize);
 
 #[derive(Clone)]
 struct DatasetEntry {
-    /// Pins the input buffers for the lifetime of the entry so the
-    /// pointer-based fingerprint can never alias a recycled allocation, and
-    /// provides the overlap data for lineage-verified extensions.
-    input: TimeSeriesFrame,
+    /// The flattened frame, kept only when it is a [`TransformCache::frame_op`]
+    /// output: lineage-verified extension reads its rows, and the cache
+    /// built those buffers itself. Caller-owned views are never held.
+    input: Option<TimeSeriesFrame>,
     data: Arc<WindowDataset>,
-}
-
-#[derive(Clone)]
-struct FrameEntry {
-    _input: TimeSeriesFrame,
-    out: TimeSeriesFrame,
 }
 
 /// A cache slot: `None` after a quarantined panic (callers fall back),
@@ -163,7 +157,7 @@ impl CacheStats {
 /// (`Arc<TransformCache>`) between the T-Daub executor's workers.
 pub struct TransformCache {
     datasets: OrderedMutex<HashMap<DatasetKey, Slot<DatasetEntry>>>,
-    frames: OrderedMutex<HashMap<FrameKey, Slot<FrameEntry>>>,
+    frames: OrderedMutex<HashMap<FrameKey, Slot<TimeSeriesFrame>>>,
     /// Newest successfully cached view per (lineage, lookback, horizon) —
     /// the extension candidate for the next allocation.
     latest: OrderedMutex<HashMap<ExtensionKey, FrameFingerprint>>,
@@ -436,7 +430,7 @@ impl TransformCache {
             if let Some(s) = map.get(&key) {
                 (Arc::clone(s), true)
             } else {
-                let s: Slot<FrameEntry> = Arc::new(OnceLock::new());
+                let s: Slot<TimeSeriesFrame> = Arc::new(OnceLock::new());
                 map.insert(key, Arc::clone(&s));
                 (s, false)
             }
@@ -446,23 +440,20 @@ impl TransformCache {
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let entry = match slot.get() {
+        let out = match slot.get() {
             Some(populated) => populated.clone()?,
             None => {
                 let computed = catch_unwind(AssertUnwindSafe(|| {
                     let out = compute();
                     self.bytes_built
                         .fetch_add(frame_bytes(&out), Ordering::Relaxed);
-                    FrameEntry {
-                        _input: frame.clone(),
-                        out,
-                    }
+                    out
                 }))
                 .ok();
                 if !self.unit_live() {
                     // retired mid-build: discard the publication, keep a
                     // private copy so the zombie's own doomed unit proceeds
-                    return computed.map(|e| e.out);
+                    return computed;
                 }
                 let _ = slot.set(computed);
                 slot.get()?.clone()?
@@ -470,17 +461,17 @@ impl TransformCache {
         };
         if existed {
             self.bytes_saved
-                .fetch_add(frame_bytes(&entry.out), Ordering::Relaxed);
+                .fetch_add(frame_bytes(&out), Ordering::Relaxed);
         } else {
             // record the output's computation chain so a later flatten on it
             // can find the previous allocation's matrix despite fresh buffers
             let mut lineage = self.lineage_of(&frame.fingerprint());
             lineage.tags.push(tag.to_string());
             if let Ok(mut map) = self.lineages.lock() {
-                map.insert(entry.out.fingerprint(), lineage);
+                map.insert(out.fingerprint(), lineage);
             }
         }
-        Some(entry.out.clone())
+        Some(out)
     }
 
     /// The computation-chain identity of a view: its recorded `frame_op`
@@ -497,112 +488,27 @@ impl TransformCache {
         }
     }
 
-    /// Release the strong input pins this cache holds on the given buffer
-    /// addresses (see [`FrameFingerprint::buffers`]), so a caller that owns
-    /// those buffers can grow them in place without the cache forcing a
-    /// copy-on-write re-base.
-    ///
-    /// **Contract**: the caller must keep the named buffers alive for as
-    /// long as it keeps using this cache — the pins exist so a pointer-keyed
-    /// entry can never alias a recycled allocation, and releasing them moves
-    /// that obligation to the caller. The service layer satisfies it by
-    /// holding every ingested frame in its store and calling
-    /// [`TransformCache::purge_buffers`] whenever a stored frame's buffers
-    /// are actually retired (an ingest replacement or a re-based growth).
-    ///
-    /// Detached entries stay fully servable: same-buffer extension works on
-    /// pointer identity alone and never reads the pinned input, and the
-    /// cross-buffer value-verification path fails closed on a detached
-    /// input (falling back to a full rebuild), so soundness never degrades
-    /// — only an extension opportunity can be lost.
-    pub fn release_pins(&self, buffers: &[usize]) {
-        if buffers.is_empty() {
-            return;
-        }
-        let shares = |fp: &FrameFingerprint| fp.buffers().iter().any(|b| buffers.contains(b));
-        if let Ok(mut map) = self.datasets.lock() {
-            for slot in map.values_mut() {
-                let Some(Some(entry)) = slot.get() else {
-                    continue;
-                };
-                if !shares(&entry.input.fingerprint()) {
-                    continue;
-                }
-                let detached = DatasetEntry {
-                    input: TimeSeriesFrame::from_columns(Vec::new()),
-                    data: Arc::clone(&entry.data),
-                };
-                let fresh: Slot<DatasetEntry> = Arc::new(OnceLock::new());
-                let _ = fresh.set(Some(detached));
-                *slot = fresh;
-            }
-        }
-        if let Ok(mut map) = self.frames.lock() {
-            // An output that itself shares the buffers cannot be detached
-            // (it *is* the cached value) — drop the entry instead; dropping
-            // is always sound, it just costs a future miss.
-            map.retain(|_, slot| match slot.get() {
-                Some(Some(entry)) => !shares(&entry.out.fingerprint()),
-                _ => true,
-            });
-            for slot in map.values_mut() {
-                let Some(Some(entry)) = slot.get() else {
-                    continue;
-                };
-                if !shares(&entry._input.fingerprint()) {
-                    continue;
-                }
-                let detached = FrameEntry {
-                    _input: TimeSeriesFrame::from_columns(Vec::new()),
-                    out: entry.out.clone(),
-                };
-                let fresh: Slot<FrameEntry> = Arc::new(OnceLock::new());
-                let _ = fresh.set(Some(detached));
-                *slot = fresh;
-            }
-        }
-    }
-
     /// Drop every entry, extension candidate, and lineage record that
-    /// references the given buffer addresses. Callers that released pins
-    /// with [`TransformCache::release_pins`] must call this when the
-    /// buffers are genuinely retired (freed or replaced), so a recycled
-    /// allocation can never collide with a stale pointer-keyed entry.
-    pub fn purge_buffers(&self, buffers: &[usize]) {
+    /// references the given buffer IDs (see [`FrameFingerprint::buffers`]).
+    /// This only frees memory: IDs are never reused, so a stale entry can
+    /// never match new data. Callers use it when they retire buffers
+    /// (replaced or re-based frames) or evict to a byte budget.
+    pub fn purge_buffers(&self, buffers: &[u64]) {
         if buffers.is_empty() {
             return;
         }
-        let shares = |fp: &FrameFingerprint| fp.buffers().iter().any(|b| buffers.contains(b));
+        let shares = |ids: &[u64]| ids.iter().any(|b| buffers.contains(b));
         if let Ok(mut map) = self.datasets.lock() {
-            map.retain(|key, slot| {
-                !shares(&key.frame)
-                    && match slot.get() {
-                        Some(Some(entry)) => !shares(&entry.input.fingerprint()),
-                        _ => true,
-                    }
-            });
+            map.retain(|key, _| !shares(key.frame.buffers()));
         }
         if let Ok(mut map) = self.frames.lock() {
-            map.retain(|key, slot| {
-                !shares(&key.frame)
-                    && match slot.get() {
-                        Some(Some(entry)) => {
-                            !shares(&entry._input.fingerprint())
-                                && !shares(&entry.out.fingerprint())
-                        }
-                        _ => true,
-                    }
-            });
+            map.retain(|key, _| !shares(key.frame.buffers()));
         }
         if let Ok(mut map) = self.latest.lock() {
-            map.retain(|(lineage, _, _), fp| {
-                !shares(fp) && !lineage.buffers.iter().any(|b| buffers.contains(b))
-            });
+            map.retain(|(lineage, _, _), fp| !shares(fp.buffers()) && !shares(&lineage.buffers));
         }
         if let Ok(mut map) = self.lineages.lock() {
-            map.retain(|fp, lineage| {
-                !shares(fp) && !lineage.buffers.iter().any(|b| buffers.contains(b))
-            });
+            map.retain(|fp, lineage| !shares(fp.buffers()) && !shares(&lineage.buffers));
         }
     }
 
@@ -618,8 +524,8 @@ impl TransformCache {
     }
 
     /// Estimated bytes of derived data resident in populated entries: the
-    /// flatten design matrices plus the frame-op output frames (entry keys,
-    /// pins, and map overhead are not counted). The service layer's
+    /// flatten design matrices plus the frame-op output frames (entry keys
+    /// and map overhead are not counted). The service layer's
     /// byte-budget eviction ([`ServiceLimits::max_cache_bytes`] in the core
     /// crate) polls this between requests; the sum is order-independent, so
     /// hash-map iteration here cannot perturb any ranking.
@@ -634,8 +540,8 @@ impl TransformCache {
         }
         if let Ok(map) = self.frames.lock() {
             for slot in map.values() {
-                if let Some(Some(entry)) = slot.get() {
-                    total = total.saturating_add(frame_bytes(&entry.out));
+                if let Some(Some(out)) = slot.get() {
+                    total = total.saturating_add(frame_bytes(out));
                 }
             }
         }
@@ -691,7 +597,8 @@ impl TransformCache {
                     Some(autoai_chaos::Fault::NanForecast) | None => {}
                 }
             }
-            let data = match self.extend_from_previous(frame, lookback, horizon) {
+            let lineage = self.lineage_of(&frame.fingerprint());
+            let data = match self.extend_from_previous(frame, &lineage, lookback, horizon) {
                 Some(extended) => extended,
                 None => {
                     let built = flatten_windows(frame, lookback, horizon);
@@ -700,7 +607,7 @@ impl TransformCache {
                 }
             };
             DatasetEntry {
-                input: frame.clone(),
+                input: (!lineage.tags.is_empty()).then(|| frame.clone()),
                 data: Arc::new(data),
             }
         }))
@@ -711,7 +618,7 @@ impl TransformCache {
     /// recently cached view of the same lineage (suffix for reverse
     /// allocations, prefix for forward), build the new design matrix by
     /// computing only the added window rows and copying the rest from the
-    /// cached matrix. Same-buffer views extend on pointer identity alone;
+    /// cached matrix. Same-buffer views extend on buffer identity alone;
     /// derived frames (fresh buffers each round) extend only after a bitwise
     /// verification of the overlapping rows. Returns `None` whenever the
     /// preconditions don't hold; the result is bitwise identical to a full
@@ -720,14 +627,14 @@ impl TransformCache {
     fn extend_from_previous(
         &self,
         frame: &TimeSeriesFrame,
+        lineage: &Lineage,
         lookback: usize,
         horizon: usize,
     ) -> Option<WindowDataset> {
         let fp = frame.fingerprint();
-        let lineage = self.lineage_of(&fp);
         let old_fp = {
             let latest = self.latest.lock().ok()?;
-            latest.get(&(lineage, lookback, horizon))?.clone()
+            latest.get(&(lineage.clone(), lookback, horizon))?.clone()
         };
         if old_fp == fp {
             return None;
@@ -758,10 +665,10 @@ impl TransformCache {
             } else {
                 return None;
             }
-        } else if rows_match(frame, &old.input, grown) {
+        } else if rows_match(frame, old.input.as_ref()?, grown) {
             // previous output is the trailing rows → front (suffix) growth
             true
-        } else if rows_match(frame, &old.input, 0) {
+        } else if rows_match(frame, old.input.as_ref()?, 0) {
             // previous output is the leading rows → back (prefix) growth
             false
         } else {
@@ -1150,30 +1057,32 @@ mod tests {
     }
 
     #[test]
-    fn release_pins_enables_in_place_growth_and_keeps_entries_servable() {
+    fn entries_never_block_in_place_growth_of_the_input() {
         let cache = TransformCache::new();
         let mut f = frame(60);
+        let derived = cache
+            .frame_op(&f, "plus1", || {
+                TimeSeriesFrame::from_columns(
+                    (0..f.n_series())
+                        .map(|c| f.series(c).iter().map(|v| v + 1.0).collect())
+                        .collect(),
+                )
+            })
+            .unwrap();
+        let _ = cache.flatten(&derived, 4, 2).unwrap();
         let _ = cache.flatten(&f.slice(0, 60), 4, 2).unwrap();
-        // the entry's pin makes the buffers shared: growth must re-base
-        let probe = f.clone();
+        drop(derived);
+        // no entry holds the caller's buffers, so growth keeps their IDs
         let record = f.append(&frame(5));
-        assert!(!record.identity_preserved());
-        drop(probe);
-        // fresh frame, pins released: growth stays in place
-        let mut g = frame(60);
-        let _ = cache.flatten(&g.slice(0, 60), 4, 2).unwrap();
-        cache.release_pins(g.fingerprint().buffers());
-        let record = g.append(&frame(5));
         assert!(record.identity_preserved(), "{record:?}");
-        // the detached entry still serves hits, and same-buffer extension
-        // still works purely on pointer identity
+        // and the grown view still extends the entry built before growth
         let before = cache.stats();
-        let _ = cache.flatten(&g.slice(0, 60), 4, 2).unwrap();
-        let extended = cache.flatten(&g.slice(0, 65), 4, 2).unwrap();
+        let _ = cache.flatten(&f.slice(0, 60), 4, 2).unwrap();
+        let extended = cache.flatten(&f.slice(0, 65), 4, 2).unwrap();
         let after = cache.stats();
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.extensions, before.extensions + 1);
-        assert_eq!(*extended, flatten_windows(&g.slice(0, 65), 4, 2));
+        assert_eq!(*extended, flatten_windows(&f.slice(0, 65), 4, 2));
     }
 
     #[test]

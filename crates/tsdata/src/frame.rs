@@ -8,11 +8,20 @@
 //! training split. Mutation goes through copy-on-write: `series_mut`
 //! compacts the view into uniquely-owned buffers first, and `append` does
 //! the same **only when it has to** — a frame that uniquely owns its full
-//! buffers grows its tail in place, keeping the `Arc` addresses (and hence
-//! the [`FrameFingerprint`]) stable so suffix-growth detection survives an
+//! buffers grows its tail in place, keeping its buffer IDs (and hence the
+//! [`FrameFingerprint`]) stable so suffix-growth detection survives an
 //! observe/append cycle. Each growth returns a [`GrowthRecord`] naming the
 //! before/after fingerprints and whether identity was preserved.
+//!
+//! Every column buffer carries a `u64` ID drawn from one process-wide
+//! counter and never reused. Views (`slice`, `tail`, `select`, `clone`)
+//! share the ID, and in-place growth keeps it because it only adds rows
+//! past the end. Every copy mints a fresh ID, and so does `series_mut`,
+//! because it overwrites rows. A fingerprint therefore names one set of
+//! rows for the life of the process, and a stale key can never match new
+//! data.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::quality::QualityIssue;
@@ -35,7 +44,7 @@ pub struct TimeSeriesFrame {
     names: Arc<Vec<String>>,
     /// Column-major shared buffers: `columns[c]` holds every sample of
     /// series `c` that any view over this buffer can expose.
-    columns: Vec<Arc<Vec<f64>>>,
+    columns: Vec<Arc<Column>>,
     /// Optional timestamps in epoch seconds, one per buffer row.
     timestamps: Option<Arc<Vec<i64>>>,
     /// First visible buffer row.
@@ -44,15 +53,46 @@ pub struct TimeSeriesFrame {
     rows: usize,
 }
 
-/// Stable identity of a frame view: the addresses of its shared column
-/// buffers plus the `(start, rows)` window. Two frames with equal
+/// Source of buffer IDs. Starts at 1 and only ever counts up.
+static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_buffer_id() -> u64 {
+    NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One column buffer and the ID that names it in fingerprints.
+#[derive(Debug)]
+struct Column {
+    id: u64,
+    values: Vec<f64>,
+}
+
+impl Column {
+    fn new(values: Vec<f64>) -> Self {
+        Self {
+            id: next_buffer_id(),
+            values,
+        }
+    }
+}
+
+/// A copy is a different buffer, so it gets a fresh ID. `Arc::make_mut` on
+/// a shared column goes through here.
+impl Clone for Column {
+    fn clone(&self) -> Self {
+        Self::new(self.values.clone())
+    }
+}
+
+/// Stable identity of a frame view: the IDs of its shared column buffers
+/// plus the `(start, rows)` window. Two frames with equal
 /// fingerprints expose bitwise-identical data (they view the same buffers),
 /// which makes this usable as a cache key. The converse does not hold —
 /// equal data in distinct buffers fingerprints differently — so callers use
 /// it for memoization, never for semantic equality.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FrameFingerprint {
-    buffers: Vec<usize>,
+    buffers: Vec<u64>,
     start: usize,
     rows: usize,
 }
@@ -63,9 +103,9 @@ impl FrameFingerprint {
         self.start
     }
 
-    /// The addresses of the viewed column buffers, in column order. Only
+    /// The IDs of the viewed column buffers, in column order. Only
     /// meaningful for cache bookkeeping (grouping views of the same data).
-    pub fn buffers(&self) -> &[usize] {
+    pub fn buffers(&self) -> &[u64] {
         &self.buffers
     }
 
@@ -101,16 +141,15 @@ impl FrameFingerprint {
 /// [`TimeSeriesFrame::extended`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrowthKind {
-    /// The tail was written into the existing uniquely-owned buffers. Every
-    /// `Arc` allocation is reused (`Arc::as_ptr` is the address of the
-    /// `ArcInner`, which is stable even when the `Vec` inside reallocates its
-    /// data heap), so the grown fingerprint `extends_as_prefix` the base one
-    /// and fingerprint-keyed cache entries for the base stay valid.
+    /// The tail was written into the existing uniquely-owned buffers. Growth
+    /// only adds rows past the end, so every buffer keeps its ID, the grown
+    /// fingerprint `extends_as_prefix` the base one, and fingerprint-keyed
+    /// cache entries for the base stay valid.
     InPlace,
     /// The frame was shared or a narrowed view, so growth first compacted it
     /// onto fresh buffers (copy-on-write). Buffer identity was severed;
     /// callers holding fingerprint-keyed caches must use the lineage in the
-    /// returned [`GrowthRecord`] instead of pointer continuity.
+    /// returned [`GrowthRecord`] instead of buffer continuity.
     Rebased,
 }
 
@@ -145,7 +184,7 @@ impl TimeSeriesFrame {
         let rows = values.len();
         Self {
             names: Arc::new(vec!["series_0".to_string()]),
-            columns: vec![Arc::new(values)],
+            columns: vec![Arc::new(Column::new(values))],
             timestamps: None,
             start: 0,
             rows,
@@ -162,7 +201,10 @@ impl TimeSeriesFrame {
         let names = (0..columns.len()).map(|i| format!("series_{i}")).collect();
         Self {
             names: Arc::new(names),
-            columns: columns.into_iter().map(Arc::new).collect(),
+            columns: columns
+                .into_iter()
+                .map(|c| Arc::new(Column::new(c)))
+                .collect(),
             timestamps: None,
             start: 0,
             rows,
@@ -233,22 +275,25 @@ impl TimeSeriesFrame {
 
     /// Borrow series `c` as a slice of the visible rows.
     pub fn series(&self, c: usize) -> &[f64] {
-        &self.columns[c][self.start..self.start + self.rows]
+        &self.columns[c].values[self.start..self.start + self.rows]
     }
 
     /// Iterate over all series as slices of the visible rows.
     pub fn series_iter(&self) -> impl Iterator<Item = &[f64]> {
         self.columns
             .iter()
-            .map(|col| &col[self.start..self.start + self.rows])
+            .map(|col| &col.values[self.start..self.start + self.rows])
     }
 
     /// Mutable borrow of series `c`. Triggers copy-on-write: the whole frame
     /// is first compacted into uniquely-owned buffers so no other view
-    /// observes the mutation.
+    /// observes the mutation. The buffer gets a fresh ID because the write
+    /// may overwrite rows that earlier fingerprints describe.
     pub fn series_mut(&mut self, c: usize) -> &mut [f64] {
         self.make_owned();
-        Arc::make_mut(&mut self.columns[c]).as_mut_slice()
+        let col = Arc::make_mut(&mut self.columns[c]);
+        col.id = next_buffer_id();
+        col.values.as_mut_slice()
     }
 
     /// Column names.
@@ -271,7 +316,10 @@ impl TimeSeriesFrame {
     /// Row `r` across all series, in column order.
     pub fn row(&self, r: usize) -> Vec<f64> {
         assert!(r < self.rows, "row index out of bounds");
-        self.columns.iter().map(|c| c[self.start + r]).collect()
+        self.columns
+            .iter()
+            .map(|c| c.values[self.start + r])
+            .collect()
     }
 
     /// Slice rows `[start, end)` into a new frame view. O(1): shares the
@@ -310,7 +358,7 @@ impl TimeSeriesFrame {
     ///
     /// When this frame uniquely owns its full buffers (no sibling views
     /// alive, window covers the whole allocation) the tail is written **in
-    /// place**: the `Arc` allocations are reused, so the fingerprint after
+    /// place**: the buffers keep their IDs, so the fingerprint after
     /// the call `extends_as_prefix` the fingerprint before it and
     /// fingerprint-keyed caches stay warm across an observe/append cycle.
     /// Otherwise the frame is first compacted onto fresh buffers
@@ -338,7 +386,7 @@ impl TimeSeriesFrame {
             GrowthKind::Rebased
         };
         for (col, extra) in self.columns.iter_mut().zip(other.series_iter()) {
-            Arc::make_mut(col).extend_from_slice(extra);
+            Arc::make_mut(col).values.extend_from_slice(extra);
         }
         let appended = other.len();
         let timestamp_issue = match (&mut self.timestamps, other.timestamps()) {
@@ -412,7 +460,7 @@ impl TimeSeriesFrame {
     /// True when this view can grow in place: the window covers each buffer
     /// from row 0 to its full length and every `Arc` is uniquely held (no
     /// strong or weak siblings), so extending the `Vec`s is invisible to any
-    /// other frame and keeps every buffer address stable.
+    /// other frame and keeps every buffer ID.
     fn uniquely_owns_full_buffers(&mut self) -> bool {
         if self.start != 0 {
             return false;
@@ -425,7 +473,7 @@ impl TimeSeriesFrame {
         }
         self.columns
             .iter_mut()
-            .all(|col| col.len() == rows && Arc::get_mut(col).is_some())
+            .all(|col| col.values.len() == rows && Arc::get_mut(col).is_some())
     }
 
     /// Convert to row-major nested vectors (user-facing output shape).
@@ -444,16 +492,12 @@ impl TimeSeriesFrame {
         self.series_iter().any(|c| c.iter().any(|&v| v < 0.0))
     }
 
-    /// Identity of this view for memoization: buffer addresses plus window.
+    /// Identity of this view for memoization: buffer IDs plus window.
     /// See [`FrameFingerprint`] for the guarantees this does and does not
     /// provide.
     pub fn fingerprint(&self) -> FrameFingerprint {
         FrameFingerprint {
-            buffers: self
-                .columns
-                .iter()
-                .map(|c| Arc::as_ptr(c) as usize)
-                .collect(),
+            buffers: self.columns.iter().map(|c| c.id).collect(),
             start: self.start,
             rows: self.rows,
         }
@@ -465,7 +509,7 @@ impl TimeSeriesFrame {
     pub fn shares_storage_with(&self, other: &TimeSeriesFrame) -> bool {
         self.columns
             .iter()
-            .any(|a| other.columns.iter().any(|b| Arc::ptr_eq(a, b)))
+            .any(|a| other.columns.iter().any(|b| a.id == b.id))
     }
 
     /// Compact the view into uniquely-owned buffers holding exactly the
@@ -474,8 +518,8 @@ impl TimeSeriesFrame {
     fn make_owned(&mut self) {
         let (start, rows) = (self.start, self.rows);
         for col in &mut self.columns {
-            if start != 0 || col.len() != rows || Arc::strong_count(col) != 1 {
-                *col = Arc::new(col[start..start + rows].to_vec());
+            if start != 0 || col.values.len() != rows || Arc::strong_count(col) != 1 {
+                *col = Arc::new(Column::new(col.values[start..start + rows].to_vec()));
             }
         }
         if let Some(ts) = &mut self.timestamps {
@@ -622,7 +666,7 @@ mod tests {
     #[test]
     fn append_in_place_preserves_buffer_identity() {
         // a freshly built frame uniquely owns its full buffers, so growth
-        // must keep every Arc address stable and the fingerprint must extend
+        // must keep every buffer ID and the fingerprint must extend
         let mut a = sample();
         let base = a.fingerprint();
         let rec = a.append(&sample());
@@ -755,6 +799,28 @@ mod tests {
         base.series_mut(0)[0] = f64::NAN;
         let v = base.slice(1, 4);
         assert!(!v.has_non_finite());
+    }
+
+    #[test]
+    fn series_mut_on_a_sole_owner_changes_the_fingerprint() {
+        // no copy happens here, but the write overwrites rows the old
+        // fingerprint describes, so the key must not survive it
+        let mut f = sample();
+        let before = f.fingerprint();
+        f.series_mut(0)[0] = 99.0;
+        assert_ne!(f.fingerprint(), before);
+        assert!(!f.fingerprint().same_buffers(&before));
+    }
+
+    #[test]
+    fn fingerprints_of_dropped_frames_never_come_back() {
+        // each frame is freed before the next is built, so an allocator is
+        // free to hand the same memory out again; the IDs must still differ
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..64 {
+            let f = TimeSeriesFrame::univariate(vec![i as f64; 16]);
+            assert!(seen.insert(f.fingerprint()), "frame {i} reused a key");
+        }
     }
 
     #[test]

@@ -28,13 +28,15 @@
 //!    acquisitions build a workspace-wide lock-order graph whose cycles are
 //!    flagged ([`check_locks`]), and no guard may be held across a
 //!    `parallel_*`/`supervised_try_map`/`spawn`/`scope`/`join` call.
-//! 7. **Determinism** (`hash-iter`, `wall-clock`, `trunc-cast`): iteration
-//!    over `HashMap`/`HashSet` in ranking/report/cache paths
-//!    ([`Config::hash_iter_paths`]), `Instant::now`/`SystemTime::now`
-//!    outside the budget/watchdog whitelist ([`Config::clock_paths`]), and
-//!    truncating casts on length-like values are all flagged — these are
-//!    exactly the bug classes that silently break the serial==parallel
-//!    equivalence T-Daub's ranking guarantees.
+//! 7. **Determinism** (`hash-iter`, `wall-clock`, `trunc-cast`,
+//!    `ptr-identity`): iteration over `HashMap`/`HashSet` in
+//!    ranking/report/cache paths ([`Config::hash_iter_paths`]),
+//!    `Instant::now`/`SystemTime::now` outside the budget/watchdog
+//!    whitelist ([`Config::clock_paths`]), truncating casts on length-like
+//!    values, and addresses cast to `usize` keys are all flagged —
+//!    these are exactly the bug classes that silently break the
+//!    serial==parallel equivalence T-Daub's ranking guarantees, or (for
+//!    address keys) let a freed allocation alias new data.
 //! 8. **Thread discipline** (`raw-spawn`): `thread::spawn`, `thread::scope`
 //!    and `thread::Builder` are forbidden outside the persistent worker
 //!    pool in [`Config::spawn_exempt_paths`] (`crates/linalg/src/par.rs`).
@@ -103,6 +105,10 @@ pub enum Rule {
     WallClock,
     /// Truncating cast on a length-like value.
     TruncCast,
+    /// An address used as a value (an `as_ptr` call cast `as usize`): freed
+    /// memory is reused, so an address key can alias unrelated data. Buffer
+    /// identity comes from `FrameFingerprint`'s never-reused IDs instead.
+    PtrIdentity,
     /// Strict mode: *any* slice/array indexing in a hot-path file.
     StrictIndexing,
     /// Strict mode: re-raising worker panics (`.join().unwrap()`,
@@ -136,6 +142,7 @@ impl Rule {
             Rule::HashIter => "hash-iter",
             Rule::WallClock => "wall-clock",
             Rule::TruncCast => "trunc-cast",
+            Rule::PtrIdentity => "ptr-identity",
             Rule::StrictIndexing => "strict-index",
             Rule::PanicPropagation => "propagate",
             Rule::AllocArith => "alloc-arith",
@@ -768,6 +775,20 @@ fn token_hits(path: &str, ft: &FileTokens, cfg: &Config) -> Vec<(Rule, usize, St
                         s.ident(i + 5).unwrap_or("")
                     ),
                 ));
+            }
+            // ptr-identity: an `as_ptr` call cast `as usize` makes an address a key
+            if s.is_ident(i, "as_ptr") && s.punct(i + 1, '(') {
+                if let Some(close) = s.matching_close(i + 1, '(', ')') {
+                    if s.is_ident(close + 1, "as") && s.is_ident(close + 2, "usize") {
+                        hits.push((
+                            Rule::PtrIdentity,
+                            line,
+                            "`as_ptr` result cast to `usize`; freed memory is reused, so an \
+                             address key can alias new data — key buffers by `FrameFingerprint` IDs"
+                                .to_string(),
+                        ));
+                    }
+                }
             }
             // chaos-site: injection-site literals must come from the
             // registry — a typo'd site never fires and the gauntlet

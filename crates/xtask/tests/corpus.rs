@@ -95,6 +95,7 @@ fn corpus_covers_every_new_rule_family() {
         "panic",
         "raw-spawn",
         "chaos-site",
+        "ptr-identity",
     ] {
         assert!(covered.contains(rule), "no fixture exercises `{rule}`");
     }

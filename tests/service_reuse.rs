@@ -178,3 +178,26 @@ fn admission_and_invalidation_bound_the_service() {
     let refit = svc.fit("cpu").unwrap();
     assert!(!refit.reused_model, "a flushed model must not replay");
 }
+
+#[test]
+fn reingested_data_never_inherits_a_retired_fingerprint() {
+    // Replacing a series frees its buffers, and an allocator may hand the
+    // same memory to the next frame. The new frame must still get a new
+    // fingerprint, or `fit` would replay the model fitted on the old data.
+    let svc = service();
+    let series = |round: usize| {
+        TimeSeriesFrame::univariate(rows(0..120).iter().map(|r| r[0] + round as f64).collect())
+    };
+    let mut seen = std::collections::HashSet::new();
+    seen.insert(svc.ingest("s", series(0)).unwrap());
+    assert!(!svc.fit("s").unwrap().reused_model);
+    for round in 1..=64 {
+        let fp = svc.ingest("s", series(round)).unwrap();
+        assert!(seen.insert(fp), "re-ingest {round} reused a fingerprint");
+        let fit = svc.fit("s").unwrap();
+        assert!(
+            !fit.reused_model,
+            "re-ingest {round} replayed the fit of different data"
+        );
+    }
+}
