@@ -11,7 +11,10 @@
 //! - a **cross-run transform cache**: one [`TransformCache`] shared by every
 //!   request, so flattened design matrices built by run *N* are reused by
 //!   run *N+1* when the lineage extends (the cache affects wall time only,
-//!   never a ranking);
+//!   never a ranking). Each installed fit or re-selection prunes the
+//!   series' entries to the newest view per windowing
+//!   ([`TransformCache::prune_to_latest`]), so the cache grows with the
+//!   series, not with the number of refits;
 //! - a **model cache** keyed by [`FrameFingerprint`] + generation: a fit
 //!   request whose frame fingerprints identically to an already-served fit
 //!   replays the stored result without any work, and `predict` requests are
@@ -209,6 +212,9 @@ pub struct ServiceStats {
     pub reselections: u64,
     /// Cross-run transform-cache counters.
     pub cache: CacheStats,
+    /// Bytes of derived data the cross-run transform cache holds
+    /// ([`TransformCache::resident_bytes`]).
+    pub cache_resident_bytes: u64,
 }
 
 /// One stored series: the live frame plus its growth lineage.
@@ -671,6 +677,7 @@ impl ForecastService {
             dropped_timestamps: self.dropped_timestamps.load(Ordering::SeqCst),
             reselections: self.reselections.load(Ordering::SeqCst),
             cache: self.cache.stats(),
+            cache_resident_bytes: self.cache.resident_bytes(),
         }
     }
 
@@ -934,6 +941,8 @@ impl ForecastService {
             // explicit fit must never replay it
             tainted: true,
         });
+        drop(models);
+        self.cache.prune_to_latest(frame.fingerprint().buffers());
         true
     }
 
@@ -1084,6 +1093,8 @@ impl ForecastService {
                 // degraded ranking; never replay it for a clean request
                 tainted: autoai_chaos::enabled(),
             });
+            drop(models);
+            self.cache.prune_to_latest(frame.fingerprint().buffers());
         }
         self.enforce_cache_budget();
         Ok(report)

@@ -1,6 +1,6 @@
 //! The shared regressor contract and the multi-output adapter.
 
-use autoai_linalg::Matrix;
+use autoai_linalg::{parallel_try_map_range, Matrix};
 
 /// Error raised when a model cannot be fitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +68,9 @@ impl MultiOutputRegressor {
         }
     }
 
-    /// Fit one clone of the prototype per column of `y` (`n x k`).
+    /// Fit one clone of the prototype per column of `y` (`n x k`), the
+    /// columns in parallel on the shared worker pool. A panicking column
+    /// fit surfaces as an error, like a failing one.
     pub fn fit(&mut self, x: &Matrix, y: &Matrix) -> Result<(), MlError> {
         if x.nrows() != y.nrows() {
             return Err(MlError::new(format!(
@@ -78,12 +80,16 @@ impl MultiOutputRegressor {
             )));
         }
         self.fitted.clear();
-        for k in 0..y.ncols() {
-            let target = y.col(k);
+        // the outputs are independent fits, each landing in its own slot,
+        // so fitting them in parallel is bit-identical to a serial loop
+        self.fitted = parallel_try_map_range(y.ncols(), |k| {
             let mut model = self.prototype.clone_unfitted();
-            model.fit(x, &target)?;
-            self.fitted.push(model);
-        }
+            model.fit(x, &y.col(k))?;
+            Ok(model)
+        })
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| Err(MlError::new(format!("output fit panicked: {p}")))))
+        .collect::<Result<_, _>>()?;
         Ok(())
     }
 
@@ -134,6 +140,40 @@ mod tests {
         let batch = m.predict(&x);
         assert_eq!(batch.nrows(), 4);
         assert!((batch[(2, 1)] - 5.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn parallel_fit_matches_one_fit_per_column_bitwise() {
+        use crate::forest::{RandomForestConfig, RandomForestRegressor};
+        let x = Matrix::from_rows(
+            &(0..40)
+                .map(|i| vec![i as f64, (i as f64 * 0.3).sin()])
+                .collect::<Vec<_>>(),
+        );
+        let y = Matrix::from_rows(
+            &(0..40)
+                .map(|i| (0..5).map(|k| ((i * (k + 2)) % 7) as f64).collect())
+                .collect::<Vec<_>>(),
+        );
+        let proto = || {
+            RandomForestRegressor::with_config(RandomForestConfig {
+                n_trees: 5,
+                ..Default::default()
+            })
+        };
+        let mut multi = MultiOutputRegressor::new(Box::new(proto()));
+        multi.fit(&x, &y).unwrap();
+        let got = multi.predict(&x);
+        for k in 0..y.ncols() {
+            let mut single = proto();
+            single.fit(&x, &y.col(k)).unwrap();
+            for r in 0..x.nrows() {
+                assert_eq!(
+                    got[(r, k)].to_bits(),
+                    single.predict_row(x.row(r)).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -512,6 +512,58 @@ impl TransformCache {
         }
     }
 
+    /// Drop the entries and lineage records that derive from the given
+    /// buffer IDs, except each (lineage, look-back, horizon)'s newest view —
+    /// the extension candidate the next allocation grows from. A caller
+    /// that keeps refitting a series growing in place (its IDs never
+    /// change, so [`purge_buffers`](Self::purge_buffers) never fires) calls
+    /// this after each fit to hold the cache to one view per windowing
+    /// instead of one per view any past fit built. Like `purge_buffers` it
+    /// only frees memory: a dropped entry is rebuilt bit-identically on
+    /// demand.
+    pub fn prune_to_latest(&self, buffers: &[u64]) {
+        if buffers.is_empty() {
+            return;
+        }
+        // snapshots, so no cache lock is ever held while taking another
+        let Ok(lineages) = self.lineages.lock().map(|m| m.clone()) else {
+            return;
+        };
+        let Ok(latest) = self.latest.lock().map(|m| m.clone()) else {
+            return;
+        };
+        let lineage_of = |fp: &FrameFingerprint| {
+            lineages.get(fp).cloned().unwrap_or_else(|| Lineage {
+                buffers: fp.buffers().to_vec(),
+                tags: Vec::new(),
+            })
+        };
+        let derives =
+            |fp: &FrameFingerprint| lineage_of(fp).buffers.iter().any(|b| buffers.contains(b));
+        // views still named by `latest`; their lineage records stay too, so
+        // a later prune can still trace them to these buffers
+        let mut kept = HashSet::new();
+        if let Ok(mut map) = self.datasets.lock() {
+            map.retain(|key, _| {
+                if !derives(&key.frame) {
+                    return true;
+                }
+                let newest = latest.get(&(lineage_of(&key.frame), key.lookback, key.horizon))
+                    == Some(&key.frame);
+                if newest {
+                    kept.insert(key.frame.clone());
+                }
+                newest
+            });
+        }
+        if let Ok(mut map) = self.frames.lock() {
+            map.retain(|key, _| !derives(&key.frame));
+        }
+        if let Ok(mut map) = self.lineages.lock() {
+            map.retain(|fp, _| !derives(fp) || kept.contains(fp));
+        }
+    }
+
     /// Snapshot the activity counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -548,10 +600,14 @@ impl TransformCache {
         total
     }
 
-    /// Drop every entry and reset instrumentation. The T-Daub runner calls
-    /// this between independent searches; entries are otherwise retained
-    /// for the cache's lifetime (one search holds a few dozen small
-    /// matrices — one per allocation × windowing config).
+    /// Drop every entry and reset instrumentation. A per-run cache (the
+    /// T-Daub runner builds one when no shared cache is given) dies with its
+    /// run; the service clears its long-lived cache on invalidation and when
+    /// its byte budget finds no model entry left to evict. Otherwise entries
+    /// stay until [`purge_buffers`] or [`prune_to_latest`] drops them.
+    ///
+    /// [`purge_buffers`]: Self::purge_buffers
+    /// [`prune_to_latest`]: Self::prune_to_latest
     pub fn clear(&self) {
         if let Ok(mut m) = self.datasets.lock() {
             m.clear();
@@ -1108,6 +1164,67 @@ mod tests {
         let _ = cache.frame_op(&f, "plus1", || derived.clone()).unwrap();
         assert_eq!(cache.stats().misses, misses + 2);
         assert_eq!(cache.stats().hits, 0);
+    }
+
+    #[test]
+    fn prune_to_latest_keeps_only_the_extension_candidates() {
+        let cache = TransformCache::new();
+        let f = frame(150);
+        // one reverse round: a raw flatten plus a flatten two frame ops
+        // (plus1 → diff1) away from the raw buffers
+        let round = |start: usize| {
+            let view = f.slice(start, 150);
+            let a = cache
+                .frame_op(&view, "plus1", || {
+                    TimeSeriesFrame::from_columns(
+                        (0..view.n_series())
+                            .map(|c| view.series(c).iter().map(|v| v + 1.0).collect())
+                            .collect(),
+                    )
+                })
+                .unwrap();
+            let b = cache
+                .frame_op(&a, "diff1", || {
+                    TimeSeriesFrame::from_columns(
+                        (0..a.n_series())
+                            .map(|c| {
+                                let s = a.series(c);
+                                s.iter().zip(s.iter().skip(1)).map(|(p, n)| n - p).collect()
+                            })
+                            .collect(),
+                    )
+                })
+                .unwrap();
+            let raw = cache.flatten(&view, 4, 1).unwrap();
+            let derived = cache.flatten(&b, 4, 1).unwrap();
+            assert_eq!(*raw, flatten_windows(&view, 4, 1));
+            assert_eq!(*derived, flatten_windows(&b, 4, 1));
+            raw.bytes() + derived.bytes()
+        };
+        round(100);
+        let newest = round(50);
+        let before = cache.resident_bytes();
+        cache.prune_to_latest(f.fingerprint().buffers());
+        // only the two newest design matrices survive; frame-op outputs go
+        assert_eq!(cache.resident_bytes(), newest);
+        assert!(newest < before);
+
+        // the next round still extends both chains from what was kept
+        let extensions = cache.stats().extensions;
+        let newest = round(0);
+        assert_eq!(cache.stats().extensions, extensions + 2);
+        cache.prune_to_latest(f.fingerprint().buffers());
+        assert_eq!(cache.resident_bytes(), newest);
+
+        // a pruned view is rebuilt on demand; other buffers are untouched
+        let g = frame(40);
+        let _ = cache.flatten(&g, 4, 1).unwrap();
+        let misses = cache.stats().misses;
+        let _ = cache.flatten(&f.slice(100, 150), 4, 1).unwrap();
+        assert_eq!(cache.stats().misses, misses + 1);
+        cache.prune_to_latest(f.fingerprint().buffers());
+        let _ = cache.flatten(&g, 4, 1).unwrap();
+        assert_eq!(cache.stats().misses, misses + 1);
     }
 
     #[test]

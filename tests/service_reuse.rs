@@ -201,3 +201,29 @@ fn reingested_data_never_inherits_a_retired_fingerprint() {
         );
     }
 }
+
+#[test]
+fn refits_of_a_growing_series_keep_the_transform_cache_bounded() {
+    // In-place growth keeps the buffer IDs, so nothing retires the views
+    // earlier fits built; the service must prune them itself, or resident
+    // bytes grow with the number of refits instead of the data.
+    let svc = service();
+    svc.ingest("cpu", TimeSeriesFrame::from_rows(&rows(0..200)))
+        .unwrap();
+    svc.fit("cpu").unwrap();
+    let mut resident = Vec::new();
+    let mut stored = Vec::new();
+    for cycle in 1..=16usize {
+        let lo = 200 + (cycle - 1) * 21;
+        svc.observe("cpu", &rows(lo..lo + 21)).unwrap();
+        svc.fit("cpu").unwrap();
+        resident.push(svc.stats().cache_resident_bytes as f64);
+        stored.push((lo + 21) as f64);
+    }
+    let bytes_ratio = resident[15] / resident[3];
+    let rows_ratio = stored[15] / stored[3];
+    assert!(
+        bytes_ratio <= 2.0 * rows_ratio,
+        "resident bytes grew {bytes_ratio:.2}x over cycles 4..16 while rows grew {rows_ratio:.2}x: {resident:?}"
+    );
+}
