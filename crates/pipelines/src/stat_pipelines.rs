@@ -4,11 +4,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use autoai_linalg::parallel_try_map_range;
 use autoai_ml_models::{LinearRegression, MultiOutputRegressor};
 use autoai_neural::{Loss, Mlp, MlpConfig};
 use autoai_stat_models::{
-    auto_arima_seeded_with_deadline, auto_arima_with_deadline, Arima, Bats, BatsConfig, Garch,
-    HoltWinters, IncrementalAr, SeasonalNaive, Seasonality, ThetaModel, ZeroModel,
+    auto_arima_seeded_with_deadline, auto_arima_with_deadline, Arima, Bats, BatsConfig, FitError,
+    Garch, HoltWinters, IncrementalAr, SeasonalNaive, Seasonality, ThetaModel, ZeroModel,
 };
 use autoai_transforms::{latest_window, TransformCache};
 use autoai_tsdata::{FrameFingerprint, TimeSeriesFrame};
@@ -23,6 +24,21 @@ fn forecast_frame(names: &[String], forecasts: Vec<Vec<f64>>) -> TimeSeriesFrame
         f = f.with_names(names.to_vec());
     }
     f
+}
+
+/// Fit one model per series side by side on the shared worker pool and
+/// collect them in series order. The first error in series order wins, as
+/// in a serial loop; a panicking fit becomes a [`FitError`]. Per-series
+/// fits are independent, so the models are bit-identical to a serial
+/// loop's.
+fn fit_per_series<M: Send>(
+    n_series: usize,
+    fit: impl Fn(usize) -> Result<M, FitError> + Sync,
+) -> Result<Vec<M>, FitError> {
+    parallel_try_map_range(n_series, fit)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| Err(FitError::new(p.to_string()))))
+        .collect()
 }
 
 /// Deterministic chaos gate at the top of `fit`/`fit_incremental`. The key
@@ -472,12 +488,10 @@ impl Forecaster for ArimaPipeline {
         // one absolute deadline shared by every per-series search, so the
         // whole fit honors the budget, not each series separately
         let deadline = self.budget.map(|b| Instant::now() + b);
-        for c in 0..frame.n_series() {
-            let m =
-                auto_arima_with_deadline(frame.series(c), self.max_p, self.max_q, self.m, deadline)
-                    .map_err(|e| PipelineError::Fit(e.message))?;
-            self.models.push(m);
-        }
+        self.models = fit_per_series(frame.n_series(), |c| {
+            auto_arima_with_deadline(frame.series(c), self.max_p, self.max_q, self.m, deadline)
+        })
+        .map_err(|e| PipelineError::Fit(e.message))?;
         if self.models.is_empty() {
             return Err(PipelineError::InvalidInput("empty frame".into()));
         }
@@ -507,19 +521,19 @@ impl Forecaster for ArimaPipeline {
         // seeded models are built into a fresh vec so a failure mid-way
         // leaves the previous fit untouched for the executor's cold fallback
         let deadline = self.budget.map(|b| Instant::now() + b);
-        let mut models = Vec::with_capacity(self.models.len());
-        for (c, seed) in self.models.iter().enumerate() {
-            let m = auto_arima_seeded_with_deadline(
+        let seeds = &self.models;
+        let models = fit_per_series(seeds.len(), |c| match seeds.get(c) {
+            Some(seed) => auto_arima_seeded_with_deadline(
                 frame.series(c),
                 self.max_p,
                 self.max_q,
                 self.m,
                 seed,
                 deadline,
-            )
-            .map_err(|e| PipelineError::Fit(e.message))?;
-            models.push(m);
-        }
+            ),
+            None => Err(FitError::new("no seed model for this series")),
+        })
+        .map_err(|e| PipelineError::Fit(e.message))?;
         self.models = models;
         self.names = frame.names().to_vec();
         self.fitted_rows = frame.len();
@@ -844,11 +858,10 @@ impl Forecaster for BatsPipeline {
         // one absolute deadline shared by every per-series search, so the
         // whole fit honors the budget, not each series separately
         let deadline = self.budget.map(|b| Instant::now() + b);
-        for c in 0..frame.n_series() {
-            let m = Bats::fit_with_deadline(frame.series(c), &config, deadline)
-                .map_err(|e| PipelineError::Fit(e.message))?;
-            self.models.push(m);
-        }
+        self.models = fit_per_series(frame.n_series(), |c| {
+            Bats::fit_with_deadline(frame.series(c), &config, deadline)
+        })
+        .map_err(|e| PipelineError::Fit(e.message))?;
         if self.models.is_empty() {
             return Err(PipelineError::InvalidInput("empty frame".into()));
         }
@@ -889,18 +902,17 @@ impl Forecaster for BatsPipeline {
         let deadline = self.budget.map(|b| Instant::now() + b);
         // warm models are built into a fresh vec so a failure mid-way
         // leaves the previous fit untouched for the executor's cold fallback
-        let mut models = Vec::with_capacity(self.models.len());
-        for seed in &self.models {
-            let c = models.len();
-            // a structure change (e.g. a period newly feasible on the grown
-            // series) rejects the seed — report "not incremental" so the
-            // executor falls back to a cold fit with a fresh component search
-            let m = match Bats::fit_seeded_with_deadline(frame.series(c), &config, seed, deadline) {
-                Ok(m) => m,
-                Err(_) => return Ok(false),
-            };
-            models.push(m);
-        }
+        let seeds = &self.models;
+        let fitted = fit_per_series(seeds.len(), |c| match seeds.get(c) {
+            Some(seed) => Bats::fit_seeded_with_deadline(frame.series(c), &config, seed, deadline),
+            None => Err(FitError::new("no seed model for this series")),
+        });
+        // a structure change (e.g. a period newly feasible on the grown
+        // series) rejects the seed — report "not incremental" so the
+        // executor falls back to a cold fit with a fresh component search
+        let Ok(models) = fitted else {
+            return Ok(false);
+        };
         self.models = models;
         self.names = frame.names().to_vec();
         self.fitted_rows = frame.len();
@@ -1811,5 +1823,88 @@ mod tests {
             .is_err());
         assert!(GarchPipeline::new().predict_interval(3, &[0.8]).is_err());
         assert!(ArPipeline::new(2).predict_interval(3, &[0.8]).is_err());
+    }
+
+    /// Three series of different shape, so every per-series search walks
+    /// its own path.
+    fn three_series_frame(n: usize) -> TimeSeriesFrame {
+        let wave = |i: usize, p: f64| (2.0 * std::f64::consts::PI * i as f64 / p).sin();
+        TimeSeriesFrame::from_columns(vec![
+            (0..n)
+                .map(|i| 20.0 + 5.0 * wave(i, 12.0) + 0.05 * i as f64)
+                .collect(),
+            (0..n)
+                .map(|i| 50.0 + 3.0 * wave(i, 7.0) + ((i * 7919) % 13) as f64 * 0.3)
+                .collect(),
+            (0..n)
+                .map(|i| 10.0 + 0.4 * i as f64 + (i as f64 * 0.9).sin())
+                .collect(),
+        ])
+    }
+
+    /// Forecast bits of a cold fit on `rows[40..]` followed by a warm
+    /// `fit_incremental` onto every row.
+    fn cold_then_warm_bits(mut p: Box<dyn Forecaster>, frame: &TimeSeriesFrame) -> Vec<u64> {
+        let bits = |f: TimeSeriesFrame| -> Vec<u64> {
+            (0..f.n_series())
+                .flat_map(|c| f.series(c).iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                .collect()
+        };
+        p.fit(&frame.slice(40, frame.len())).unwrap();
+        let mut out = bits(p.predict(12).unwrap());
+        assert!(p.fit_incremental(frame, frame.len() - 40).unwrap());
+        out.extend(bits(p.predict(12).unwrap()));
+        out
+    }
+
+    #[test]
+    fn per_series_fan_out_matches_direct_fits_when_nested_in_busy_pool_items() {
+        let frame = three_series_frame(180);
+        let make = |i: usize| -> Box<dyn Forecaster> {
+            if i % 2 == 0 {
+                Box::new(ArimaPipeline::new(12))
+            } else {
+                Box::new(BatsPipeline::new(vec![12, 7]))
+            }
+        };
+        let direct: Vec<Vec<u64>> = (0..2)
+            .map(|i| cold_then_warm_bits(make(i), &frame))
+            .collect();
+        // the cold fits equal one model fitted per series in a plain loop
+        let cold = frame.slice(40, frame.len());
+        let (mut arima, mut bats) = (Vec::new(), Vec::new());
+        for c in 0..3 {
+            let y = cold.series(c);
+            let a = autoai_stat_models::auto_arima(y, 3, 3, 12).unwrap();
+            arima.extend(a.forecast(12).iter().map(|v| v.to_bits()));
+            let b = Bats::fit(y, &BatsConfig::with_periods(vec![12, 7])).unwrap();
+            bats.extend(b.forecast(12).iter().map(|v| v.to_bits()));
+        }
+        assert_eq!(direct[0][..36], arima[..]);
+        assert_eq!(direct[1][..36], bats[..]);
+        // every pool item runs a pipeline of its own, so the per-series
+        // fan-outs (and the model searches' fan-outs inside them) nest
+        let nested = parallel_try_map_range(4, |i| cold_then_warm_bits(make(i), &frame));
+        for (i, r) in nested.into_iter().enumerate() {
+            assert_eq!(r.unwrap(), direct[i % 2], "item {i}");
+        }
+    }
+
+    #[test]
+    fn expired_budget_still_fits_every_series_with_timed_out_set() {
+        let frame = three_series_frame(150);
+        let mut arima = ArimaPipeline::new(12);
+        let mut bats = BatsPipeline::new(vec![12, 7]);
+        for p in [&mut arima as &mut dyn Forecaster, &mut bats] {
+            p.set_time_budget(Some(Duration::ZERO));
+            p.fit(&frame).unwrap();
+            let f = p.predict(6).unwrap();
+            assert_eq!(f.n_series(), 3);
+            for c in 0..3 {
+                assert!(f.series(c).iter().all(|v| v.is_finite()), "series {c}");
+            }
+        }
+        assert!(arima.timed_out());
+        assert!(bats.timed_out());
     }
 }

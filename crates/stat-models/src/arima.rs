@@ -10,10 +10,20 @@
 //! mirrors pmdarima's stepwise search with AICc ranking, the configuration
 //! the paper benchmarks (Table 3: `start_p=1, start_q=1, max_p=3, max_q=3,
 //! m=12, seasonal=True, d=1, D=1`).
+//!
+//! Each hill-climb step fits its (up to four) neighbouring orders side by
+//! side on the shared worker pool (`parallel_try_map_range`). The serial
+//! walk moves to the first improving neighbour in candidate order; the
+//! fan-out keeps that rule by merging in candidate order and by skipping
+//! neighbours after one already known to improve. Selections are therefore
+//! bit-identical to a serial walk.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use autoai_linalg::{lstsq, nelder_mead_budgeted, Matrix, NelderMeadOptions};
+use autoai_linalg::{
+    lstsq, nelder_mead_budgeted, parallel_try_map_range, Matrix, NelderMeadOptions,
+};
 
 use crate::FitError;
 
@@ -555,6 +565,11 @@ pub fn auto_arima(series: &[f64], max_p: usize, max_q: usize, m: usize) -> Resul
 /// between hill-climb candidates (and inside each candidate's CSS search),
 /// so an expired budget returns the best model selected so far with
 /// `timed_out == true` instead of finishing the walk.
+///
+/// The start model always runs, even on an already-expired deadline, so
+/// the call still returns a usable model. When the start order cannot be
+/// fitted, its `(1, d, 0)` and `(0, d, 0)` fallbacks run under the same
+/// deadline.
 pub fn auto_arima_with_deadline(
     series: &[f64],
     max_p: usize,
@@ -637,9 +652,11 @@ fn auto_arima_impl(
         Some(s) => (s.spec.p.min(max_p), s.spec.q.min(max_q)),
         None => (1.min(max_p), 1.min(max_q)),
     };
+    // the start model always runs, even past the deadline; its fallbacks
+    // honor the deadline like every other fit
     let mut best = try_fit(p, q)
-        .or_else(|| Arima::fit(series, ArimaSpec::new(1, d, 0)).ok())
-        .or_else(|| Arima::fit(series, ArimaSpec::new(0, d, 0)).ok())
+        .or_else(|| Arima::fit_with_deadline(series, ArimaSpec::new(1, d, 0), deadline).ok())
+        .or_else(|| Arima::fit_with_deadline(series, ArimaSpec::new(0, d, 0), deadline).ok())
         .ok_or_else(|| FitError::new("auto_arima: no candidate model could be fitted"))?;
     loop {
         if expired() {
@@ -648,8 +665,7 @@ fn auto_arima_impl(
             best.timed_out = true;
             break;
         }
-        let mut improved = false;
-        let mut candidates = Vec::new();
+        let mut candidates = Vec::with_capacity(4);
         if p < max_p {
             candidates.push((p + 1, q));
         }
@@ -662,18 +678,44 @@ fn auto_arima_impl(
         if q > 0 {
             candidates.push((p, q - 1));
         }
-        for (cp, cq) in candidates {
-            if expired() {
-                break;
+        let bar = best.aic - 1e-9;
+        // once neighbour `i` is known to improve, later ones are skipped
+        // (`first_hit`); the merge takes the first improving neighbour in
+        // candidate order, as the serial walk did
+        let first_hit = AtomicUsize::new(usize::MAX);
+        let fits = parallel_try_map_range(candidates.len(), |i| {
+            if i > first_hit.load(Ordering::Acquire) || expired() {
+                return Neighbour::Skipped;
             }
-            if let Some(model) = try_fit(cp, cq) {
-                if model.aic < best.aic - 1e-9 {
+            let Some(&(cp, cq)) = candidates.get(i) else {
+                return Neighbour::Skipped;
+            };
+            let model = try_fit(cp, cq);
+            if model.as_ref().is_some_and(|m| m.aic < bar) {
+                first_hit.fetch_min(i, Ordering::AcqRel);
+            }
+            Neighbour::Fitted(model)
+        });
+        let mut improved = false;
+        for (fit, &(cp, cq)) in fits.into_iter().zip(&candidates) {
+            match fit {
+                Ok(Neighbour::Fitted(Some(model))) if model.aic < bar => {
                     best = model;
                     p = cp;
                     q = cq;
                     improved = true;
                     break;
                 }
+                // the walk stops at the first neighbour the deadline
+                // skipped, as a truncated selection (neighbours skipped
+                // after an improvement are never reached)
+                Ok(Neighbour::Skipped) => {
+                    best.timed_out = true;
+                    break;
+                }
+                // a failed or panicked fit is a neighbour that does not
+                // improve
+                Ok(Neighbour::Fitted(_)) | Err(_) => {}
             }
         }
         if !improved {
@@ -681,6 +723,15 @@ fn auto_arima_impl(
         }
     }
     Ok(best)
+}
+
+/// One stepwise neighbour of [`auto_arima_impl`]'s hill climb.
+enum Neighbour {
+    /// The fit ran; `None` when the specification could not be fitted.
+    Fitted(Option<Arima>),
+    /// Not fitted: the deadline had passed, or an earlier neighbour was
+    /// already known to improve.
+    Skipped,
 }
 
 #[cfg(test)]
@@ -904,6 +955,58 @@ mod tests {
         assert_eq!(full.spec, unbounded.spec);
         for (a, b) in full.forecast(6).iter().zip(&unbounded.forecast(6)) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn fallback_start_models_honor_an_expired_deadline() {
+        // 10 points: the (1, 0, 1) start model needs 11, so the walk starts
+        // from the (1, 0, 0) fallback. The near-alternating series puts the
+        // lag-1 least-squares coefficient below the -0.95 clamp of the OLS
+        // start, so only a CSS search run past the deadline moves it.
+        let x = [1.0, -1.1, 0.9, -1.0, 1.2, -0.9, 1.0, -1.05, 0.95, -1.0];
+        assert_eq!(ndiffs(&x, 2), 0);
+        assert!(Arima::fit(&x, ArimaSpec::new(1, 0, 1)).is_err());
+        let past = Instant::now() - std::time::Duration::from_secs(1);
+        let m = auto_arima_with_deadline(&x, 3, 3, 0, Some(past)).unwrap();
+        assert!(m.timed_out);
+        let bound = Arima::fit_with_deadline(&x, ArimaSpec::new(1, 0, 0), Some(past)).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(m.spec, bound.spec);
+        assert_eq!(bits(&m.ar_coefs), bits(&bound.ar_coefs));
+        assert_eq!(bits(&m.ma_coefs), bits(&bound.ma_coefs));
+        assert_eq!(m.aic.to_bits(), bound.aic.to_bits());
+    }
+
+    #[test]
+    fn neighbour_fan_out_matches_direct_selection_when_nested_in_busy_pool_items() {
+        let x = ar1_series(0.6, 400, 9, 0.5);
+        let seasonal: Vec<f64> = (0..300)
+            .map(|i| [0., 3., 8., 2., -4., -9., -3., 1., 6., 4., -2., -6.][i % 12] + x[i])
+            .collect();
+        let pin = |m: &Arima| {
+            let mut v = vec![m.aic.to_bits(), m.intercept.to_bits()];
+            v.extend(m.ar_coefs.iter().chain(&m.ma_coefs).map(|c| c.to_bits()));
+            v.extend(m.forecast(12).iter().map(|f| f.to_bits()));
+            (m.spec, v)
+        };
+        let cases: [(&[f64], usize); 2] = [(&x, 0), (&seasonal, 12)];
+        for (y, m) in cases {
+            let direct = pin(&auto_arima(y, 3, 3, m).unwrap());
+            let seed = auto_arima(&y[..y.len() - 40], 3, 3, m).unwrap();
+            let warm = pin(&auto_arima_seeded(y, 3, 3, m, &seed).unwrap());
+            // every pool item runs a selection of its own
+            let nested = parallel_try_map_range(4, |i| {
+                if i % 2 == 0 {
+                    auto_arima(y, 3, 3, m).map(|a| pin(&a))
+                } else {
+                    auto_arima_seeded(y, 3, 3, m, &seed).map(|a| pin(&a))
+                }
+            });
+            for (i, r) in nested.into_iter().enumerate() {
+                let want = if i % 2 == 0 { &direct } else { &warm };
+                assert_eq!(&r.unwrap().unwrap(), want, "m={m} item {i}");
+            }
         }
     }
 

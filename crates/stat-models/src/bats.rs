@@ -9,10 +9,25 @@
 //! model on the one-step residuals. Component inclusion is selected by AIC
 //! over the 2×2×2 grid (Box-Cox × trend × ARMA), exactly the spirit of the
 //! reference implementation's automatic component search.
+//!
+//! Cost structure. Each Box-Cox × trend combination runs one batched
+//! Nelder–Mead search over the smoothing constants. The optimizer hands its
+//! objective whole batches: the three speculative candidates of an
+//! iteration (reflect, expand, contract), or the shrunken simplex. An
+//! `EsBatch` advances every point of a batch through the series in one
+//! lockstep pass. Its flat scratch is reused across batches, the start
+//! state (`EsStart`) is computed once per search, and each period's
+//! position in its cycle is a counter rather than a `t % m`. Every point's
+//! arithmetic keeps the single-point recursion's order, so SSEs and fitted
+//! states are bit-identical to evaluating the points one at a time. The
+//! four combinations are independent searches and run side by side on the
+//! shared worker pool (`parallel_try_map_range`), as do a seeded refit's
+//! seed and cold restarts. Results merge in the fixed grid order, so the
+//! selection never depends on scheduling.
 
 use std::time::Instant;
 
-use autoai_linalg::{nelder_mead_batched, NelderMeadOptions};
+use autoai_linalg::{nelder_mead_batched, parallel_try_map_range, NelderMeadOptions};
 
 use crate::arima::{Arima, ArimaSpec};
 use crate::FitError;
@@ -107,6 +122,308 @@ fn box_cox_inv(y: f64, lambda: f64) -> f64 {
     }
 }
 
+/// The (possibly Box-Cox transformed) series one grid combination fits,
+/// with its λ and positivity offset. λ is chosen by golden-section search
+/// on the profile log-likelihood.
+fn transform_series(series: &[f64], use_bc: bool) -> (Vec<f64>, Option<f64>, f64) {
+    if !use_bc {
+        return (series.to_vec(), None, 0.0);
+    }
+    let min = series.iter().cloned().fold(f64::INFINITY, f64::min);
+    let offset = if min <= 0.0 { 1.0 - min } else { 0.0 };
+    let shifted: Vec<f64> = series.iter().map(|&v| v + offset).collect();
+    let lambda = autoai_linalg::golden_section_min(
+        |l| {
+            let y: Vec<f64> = shifted.iter().map(|&v| box_cox(v, l)).collect();
+            let var = autoai_linalg::variance(&y);
+            if var <= 0.0 {
+                return f64::INFINITY;
+            }
+            let log_j: f64 = shifted.iter().map(|&v| v.max(1e-12).ln()).sum();
+            0.5 * y.len() as f64 * var.ln() - (l - 1.0) * log_j
+        },
+        -1.0,
+        2.0,
+        1e-3,
+    );
+    (
+        shifted.iter().map(|&v| box_cox(v, lambda)).collect(),
+        Some(lambda),
+        offset,
+    )
+}
+
+/// The parameter-independent start of the smoothing recursion: the level
+/// and trend seeds and the initial seasonal indices. They depend only on
+/// the series and the component structure, so a search computes them once
+/// instead of once per evaluated point.
+struct EsStart {
+    /// Steps before one-step errors count towards the SSE.
+    warmup: usize,
+    level: f64,
+    trend: f64,
+    /// Initial seasonal indices of every period, concatenated in period
+    /// order.
+    seasonals: Vec<f64>,
+}
+
+impl EsStart {
+    /// `None` when the series is shorter than the warm-up.
+    fn new(y: &[f64], use_trend: bool, periods: &[usize]) -> Option<Self> {
+        let warmup = periods.iter().copied().max().unwrap_or(1).max(2);
+        // initial seasonal indices from the first cycle of each period
+        let base = autoai_linalg::mean(y.get(..warmup)?);
+        let mut seasonals = Vec::with_capacity(periods.iter().sum());
+        for &m in periods {
+            let use_cycles = (y.len() / m).clamp(1, 2);
+            for j in 0..m {
+                let mut s = 0.0;
+                for c in 0..use_cycles {
+                    // c < cycles and j < m, so c*m + j < cycles*m <= len
+                    s += y.get(c * m + j).copied().unwrap_or(base);
+                }
+                let mut v = s / use_cycles as f64 - base;
+                // divide initial effect among overlapping periods
+                if periods.len() > 1 {
+                    v /= periods.len() as f64;
+                }
+                seasonals.push(v);
+            }
+        }
+        let trend = if use_trend && y.len() > warmup {
+            (y.get(warmup)? - y.first()?) / warmup as f64
+        } else {
+            0.0
+        };
+        Some(Self {
+            warmup,
+            level: base,
+            trend,
+            seasonals,
+        })
+    }
+}
+
+/// One point's recursion state inside an [`EsBatch`].
+#[derive(Debug, Clone, Copy)]
+struct EsPoint {
+    alpha: f64,
+    beta: f64,
+    level: f64,
+    trend: f64,
+    sse: f64,
+    /// Cleared at the first non-finite one-step error; the point is then
+    /// frozen and scores `+inf`.
+    finite: bool,
+}
+
+/// The lockstep additive multi-seasonal smoothing recursion: one pass over
+/// the series advances every point of an optimizer batch.
+///
+/// Its scratch (per-point states, smoothing constants and seasonal cycles
+/// in flat buffers) is reused from batch to batch, so after the first
+/// batch of a search a pass allocates nothing. The start state comes
+/// precomputed from [`EsStart`]. Each period's position in its cycle is a
+/// counter advanced once per step for the whole batch, instead of a
+/// `t % m` per point, period and summand. Each point's arithmetic runs in
+/// the single-point recursion's exact order, including the summation
+/// order of the seasonal terms, so every point's SSE and fitted state are
+/// bit-identical to a recursion of its own.
+struct EsBatch<'a> {
+    y: &'a [f64],
+    use_trend: bool,
+    periods: &'a [usize],
+    start: &'a EsStart,
+    points: Vec<EsPoint>,
+    /// Seasonal smoothing constants, `periods.len()` per point.
+    gammas: Vec<f64>,
+    /// Seasonal cycles, `start.seasonals.len()` per point, each point's
+    /// periods in order.
+    seasonals: Vec<f64>,
+    /// Start of each period's cycle inside a point's seasonal block.
+    offsets: Vec<usize>,
+    /// Each period's current slot inside a point's seasonal block.
+    slots: Vec<usize>,
+    /// The seasonal terms of the point being advanced, one per period.
+    cur: Vec<f64>,
+}
+
+impl<'a> EsBatch<'a> {
+    fn new(y: &'a [f64], use_trend: bool, periods: &'a [usize], start: &'a EsStart) -> Self {
+        let offsets = periods
+            .iter()
+            .scan(0usize, |acc, &m| {
+                let off = *acc;
+                *acc += m;
+                Some(off)
+            })
+            .collect();
+        Self {
+            y,
+            use_trend,
+            periods,
+            start,
+            points: Vec::new(),
+            gammas: Vec::new(),
+            seasonals: Vec::new(),
+            offsets,
+            slots: Vec::with_capacity(periods.len()),
+            cur: vec![0.0; periods.len()],
+        }
+    }
+
+    /// Reset the batch to the start state at the given raw (pre-sigmoid)
+    /// optimizer points. A missing coordinate reads as 0.0 (sigmoid 0.5),
+    /// which keeps the lookup total; the optimizer always passes full
+    /// vectors.
+    fn load<P: AsRef<[f64]>>(&mut self, points: &[P]) {
+        let raw_at = |raw: &[f64], i: usize| raw.get(i).copied().unwrap_or(0.0);
+        self.points.clear();
+        self.gammas.clear();
+        self.seasonals.clear();
+        for raw in points {
+            let raw = raw.as_ref();
+            self.points.push(EsPoint {
+                alpha: sigmoid(raw_at(raw, 0)),
+                beta: if self.use_trend {
+                    sigmoid(raw_at(raw, 1))
+                } else {
+                    0.0
+                },
+                level: self.start.level,
+                trend: self.start.trend,
+                sse: 0.0,
+                finite: true,
+            });
+            self.gammas
+                .extend((0..self.periods.len()).map(|i| sigmoid(raw_at(raw, 2 + i)) * 0.5));
+            self.seasonals.extend_from_slice(&self.start.seasonals);
+        }
+    }
+
+    /// Advance every loaded point through the whole series. With
+    /// `residuals`, the counted one-step errors of the batch's points are
+    /// appended in step order (the fitted-state pass loads one point).
+    fn run(&mut self, mut residuals: Option<&mut Vec<f64>>) {
+        let stride = self.start.seasonals.len();
+        let n_periods = self.periods.len();
+        self.slots.clear();
+        self.slots.extend_from_slice(&self.offsets);
+        for (t, &x) in self.y.iter().enumerate() {
+            let counted = t >= self.start.warmup;
+            for (i, p) in self.points.iter_mut().enumerate() {
+                if !p.finite {
+                    continue;
+                }
+                let block = i * stride;
+                for (c, &slot) in self.cur.iter_mut().zip(&self.slots) {
+                    *c = self
+                        .seasonals
+                        .get(block + slot)
+                        .copied()
+                        .unwrap_or_default();
+                }
+                let season_sum: f64 = self.cur.iter().sum();
+                let fitted = p.level + p.trend + season_sum;
+                let err = x - fitted;
+                if !err.is_finite() {
+                    p.finite = false;
+                    continue;
+                }
+                if counted {
+                    p.sse += err * err;
+                    if let Some(r) = residuals.as_deref_mut() {
+                        r.push(err);
+                    }
+                }
+                let prev_level = p.level;
+                p.level = p.alpha * (x - season_sum) + (1.0 - p.alpha) * (p.level + p.trend);
+                if self.use_trend {
+                    p.trend = p.beta * (p.level - prev_level) + (1.0 - p.beta) * p.trend;
+                }
+                // period j's update sees the already-updated terms of the
+                // periods before it, exactly as the per-period loop did
+                for j in 0..n_periods {
+                    let other: f64 = self
+                        .cur
+                        .iter()
+                        .enumerate()
+                        .filter(|&(k, _)| k != j)
+                        .map(|(_, &v)| v)
+                        .sum();
+                    let g = self
+                        .gammas
+                        .get(i * n_periods + j)
+                        .copied()
+                        .unwrap_or_default();
+                    if let Some(c) = self.cur.get_mut(j) {
+                        *c = g * (x - p.level - other) + (1.0 - g) * *c;
+                        let slot = self.slots.get(j).map_or(usize::MAX, |&s| block + s);
+                        if let Some(s) = self.seasonals.get_mut(slot) {
+                            *s = *c;
+                        }
+                    }
+                }
+            }
+            for ((slot, &off), &m) in self.slots.iter_mut().zip(&self.offsets).zip(self.periods) {
+                *slot += 1;
+                if *slot == off + m {
+                    *slot = off;
+                }
+            }
+        }
+    }
+
+    /// The batch objective: each point's SSE, `+inf` for a point whose
+    /// recursion went non-finite.
+    fn sse(&mut self, points: &[Vec<f64>]) -> Vec<f64> {
+        self.load(points);
+        self.run(None);
+        self.points
+            .iter()
+            .map(|p| if p.finite { p.sse } else { f64::INFINITY })
+            .collect()
+    }
+
+    /// The fitted state at one raw optimizer point, residuals included;
+    /// `None` when its recursion goes non-finite.
+    fn fitted_state(&mut self, raw: &[f64]) -> Option<EsState> {
+        self.load(&[raw]);
+        let mut residuals = Vec::with_capacity(self.y.len());
+        self.run(Some(&mut residuals));
+        let p = self.points.first().copied().filter(|p| p.finite)?;
+        let seasonals = self
+            .offsets
+            .iter()
+            .zip(self.periods)
+            .map(|(&off, &m)| {
+                self.seasonals
+                    .get(off..off + m)
+                    .unwrap_or_default()
+                    .to_vec()
+            })
+            .collect();
+        Some(EsState {
+            level: p.level,
+            trend: p.trend,
+            seasonals,
+            alpha: p.alpha,
+            beta: p.beta,
+            gammas: self.gammas.clone(),
+            residuals,
+            sse: p.sse,
+        })
+    }
+}
+
+/// The models one Box-Cox × trend grid combination produced, in ARMA
+/// order, and whether the deadline cut its ARMA choices short.
+#[derive(Default)]
+struct GridCell {
+    models: Vec<Bats>,
+    truncated: bool,
+}
+
 impl Bats {
     /// The optimized smoothing constants `(α, β, γ_per_period)`.
     pub fn smoothing_params(&self) -> (f64, f64, &[f64]) {
@@ -119,22 +436,112 @@ impl Bats {
     }
 
     /// [`Bats::fit`] with a cooperative hard stop: the deadline is threaded
-    /// into each smoothing-constant search and checked between component
-    /// grid combinations, so an expired budget returns the best
-    /// configuration found so far with `timed_out == true`. At least one
-    /// configuration is always attempted even on an already-expired
-    /// deadline.
+    /// into each smoothing-constant search and checked before every grid
+    /// combination and ARMA choice, so an expired budget returns the best
+    /// configuration found so far with `timed_out == true`.
+    ///
+    /// The four Box-Cox × trend combinations are independent searches and
+    /// run side by side on the shared worker pool; their models are merged
+    /// in the fixed grid order (Box-Cox, then trend, then ARMA), so the
+    /// selection is bit-identical to a serial walk of the grid.
+    ///
+    /// Even on an already-expired deadline the first grid combination (and
+    /// its first ARMA choice) always runs, and should it fit nothing the
+    /// skipped combinations are tried in grid order until one does: a fit
+    /// never fails for lack of time alone.
     pub fn fit_with_deadline(
         series: &[f64],
         config: &BatsConfig,
         deadline: Option<Instant>,
     ) -> Result<Self, FitError> {
+        let periods = Self::feasible_periods(series, config)?;
+        let options = |forced: Option<bool>| match forced {
+            Some(b) => vec![b],
+            None => vec![false, true],
+        };
+        let arma_options = options(config.use_arma);
+        let combos: Vec<(bool, bool)> = options(config.use_box_cox)
+            .into_iter()
+            .flat_map(|bc| {
+                options(config.use_trend)
+                    .into_iter()
+                    .map(move |tr| (bc, tr))
+            })
+            .collect();
+        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+        let fit_cell = |i: usize, first: bool| {
+            combos.get(i).map(|&(use_bc, use_trend)| {
+                Self::fit_grid_cell(
+                    series,
+                    &periods,
+                    use_bc,
+                    use_trend,
+                    &arma_options,
+                    deadline,
+                    first,
+                )
+            })
+        };
+        // `None`: skipped because the deadline had already passed
+        let cells = parallel_try_map_range(combos.len(), |i| {
+            if i > 0 && expired() {
+                None
+            } else {
+                fit_cell(i, i == 0)
+            }
+        });
+
+        let mut truncated = false;
+        let mut best: Option<Bats> = None;
+        let mut merge = |cell: GridCell| {
+            truncated |= cell.truncated;
+            for cand in cell.models {
+                if best.as_ref().is_none_or(|b| cand.aic < b.aic) {
+                    best = Some(cand);
+                }
+            }
+        };
+        let mut fitted_any = false;
+        let mut panicked = None;
+        let mut skipped = Vec::new();
+        for (i, cell) in cells.into_iter().enumerate() {
+            match cell {
+                Ok(Some(cell)) => {
+                    fitted_any |= !cell.models.is_empty();
+                    merge(cell);
+                }
+                Ok(None) => skipped.push(i),
+                Err(p) => panicked = Some(p),
+            }
+        }
+        // the deadline skipped every combination but the first; if that
+        // one fitted nothing, keep going in grid order until one does
+        for &i in &skipped {
+            if fitted_any {
+                break;
+            }
+            if let Some(cell) = fit_cell(i, true) {
+                fitted_any |= !cell.models.is_empty();
+                merge(cell);
+            }
+        }
+        truncated |= !skipped.is_empty();
+        let mut best = best.ok_or_else(|| match panicked {
+            Some(p) => FitError::new(format!("no BATS configuration could be fitted: {p}")),
+            None => FitError::new("no BATS configuration could be fitted"),
+        })?;
+        best.timed_out |= truncated;
+        Ok(best)
+    }
+
+    /// The requested periods that fit twice into the data (infeasible ones
+    /// are silently dropped, matching the reference implementation's
+    /// behavior on short series), after rejecting non-finite and too-short
+    /// series.
+    fn feasible_periods(series: &[f64], config: &BatsConfig) -> Result<Vec<usize>, FitError> {
         if series.iter().any(|v| !v.is_finite()) {
             return Err(FitError::new("series contains non-finite values"));
         }
-        // feasible periods first (must fit twice into the data); infeasible
-        // requested periods are silently dropped, matching the reference
-        // implementation's behavior on short series
         let periods: Vec<usize> = config
             .seasonal_periods
             .iter()
@@ -149,116 +556,97 @@ impl Bats {
                 (2 * max_period).max(10)
             )));
         }
+        Ok(periods)
+    }
 
-        let bc_options: Vec<bool> = match config.use_box_cox {
-            Some(b) => vec![b],
-            None => vec![false, true],
+    /// One Box-Cox × trend combination of the component grid: transform,
+    /// smoothing-constant search, then one model per ARMA choice. `first`
+    /// marks the combination that must produce a model even past the
+    /// deadline, so its first ARMA choice always runs.
+    fn fit_grid_cell(
+        series: &[f64],
+        periods: &[usize],
+        use_bc: bool,
+        use_trend: bool,
+        arma_options: &[bool],
+        deadline: Option<Instant>,
+        first: bool,
+    ) -> GridCell {
+        let (transformed, lambda, offset) = transform_series(series, use_bc);
+        let mut cell = GridCell::default();
+        let Some((es, es_timed_out, raw)) =
+            Self::fit_es(&transformed, use_trend, periods, deadline, None)
+        else {
+            return cell;
         };
-        let trend_options: Vec<bool> = match config.use_trend {
-            Some(b) => vec![b],
-            None => vec![false, true],
-        };
-        let arma_options: Vec<bool> = match config.use_arma {
-            Some(b) => vec![b],
-            None => vec![false, true],
-        };
-
-        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-        let mut truncated = false;
-        let mut best: Option<Bats> = None;
-        for &use_bc in &bc_options {
-            if best.is_some() && expired() {
-                truncated = true;
+        for &use_arma in arma_options {
+            if (!first || !cell.models.is_empty()) && deadline.is_some_and(|d| Instant::now() >= d)
+            {
+                cell.truncated = true;
                 break;
             }
-            // transform once per Box-Cox choice
-            let (transformed, lambda, offset) = if use_bc {
-                let min = series.iter().cloned().fold(f64::INFINITY, f64::min);
-                let offset = if min <= 0.0 { 1.0 - min } else { 0.0 };
-                let shifted: Vec<f64> = series.iter().map(|&v| v + offset).collect();
-                let lambda = autoai_linalg::golden_section_min(
-                    |l| {
-                        let y: Vec<f64> = shifted.iter().map(|&v| box_cox(v, l)).collect();
-                        let var = autoai_linalg::variance(&y);
-                        if var <= 0.0 {
-                            return f64::INFINITY;
-                        }
-                        let log_j: f64 = shifted.iter().map(|&v| v.max(1e-12).ln()).sum();
-                        0.5 * y.len() as f64 * var.ln() - (l - 1.0) * log_j
-                    },
-                    -1.0,
-                    2.0,
-                    1e-3,
-                );
-                (
-                    shifted
-                        .iter()
-                        .map(|&v| box_cox(v, lambda))
-                        .collect::<Vec<f64>>(),
-                    Some(lambda),
-                    offset,
-                )
-            } else {
-                (series.to_vec(), None, 0.0)
-            };
-
-            for &use_trend in &trend_options {
-                if best.is_some() && expired() {
-                    truncated = true;
-                    break;
-                }
-                let (es, es_timed_out, es_raw) =
-                    match Self::fit_es(&transformed, use_trend, &periods, deadline, None) {
-                        Some(es) => es,
-                        None => continue,
-                    };
-                for &use_arma in &arma_options {
-                    if best.is_some() && expired() {
-                        truncated = true;
-                        break;
-                    }
-                    let arma = if use_arma && es.residuals.len() >= 30 {
-                        Arima::fit_with_deadline(&es.residuals, ArimaSpec::new(1, 0, 1), deadline)
-                            .ok()
-                    } else {
-                        None
-                    };
-                    let sse = match &arma {
-                        Some(a) => a.sigma2 * es.residuals.len() as f64,
-                        None => es.sse,
-                    };
-                    let n_eff = es.residuals.len().max(1) as f64;
-                    let k = 2.0
-                        + periods.len() as f64
-                        + if use_trend { 1.0 } else { 0.0 }
-                        + if lambda.is_some() { 1.0 } else { 0.0 }
-                        + if arma.is_some() { 2.0 } else { 0.0 };
-                    let aic = n_eff * (sse / n_eff).max(1e-300).ln() + 2.0 * k;
-                    let has_arma = arma.is_some();
-                    let timed_out = es_timed_out || arma.as_ref().is_some_and(|a| a.timed_out);
-                    let cand = Bats {
-                        lambda,
-                        offset,
-                        has_trend: use_trend,
-                        periods: periods.clone(),
-                        has_arma,
-                        es: es.clone(),
-                        arma,
-                        raw: es_raw.clone(),
-                        aic,
-                        timed_out,
-                        n: series.len(),
-                    };
-                    if best.as_ref().is_none_or(|b| cand.aic < b.aic) {
-                        best = Some(cand);
-                    }
-                }
-            }
+            cell.models.push(Self::assemble(
+                es.clone(),
+                es_timed_out,
+                raw.clone(),
+                lambda,
+                offset,
+                use_trend,
+                periods,
+                use_arma,
+                deadline,
+                series.len(),
+            ));
         }
-        let mut best =
-            best.ok_or_else(|| FitError::new("no BATS configuration could be fitted"))?;
-        best.timed_out |= truncated;
-        Ok(best)
+        cell
+    }
+
+    /// Build a model from a fitted smoothing core: fit the optional
+    /// ARMA(1,1) error correction on its residuals and score the
+    /// configuration by AIC.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        es: EsState,
+        es_timed_out: bool,
+        raw: Vec<f64>,
+        lambda: Option<f64>,
+        offset: f64,
+        use_trend: bool,
+        periods: &[usize],
+        use_arma: bool,
+        deadline: Option<Instant>,
+        n: usize,
+    ) -> Self {
+        let arma = if use_arma && es.residuals.len() >= 30 {
+            Arima::fit_with_deadline(&es.residuals, ArimaSpec::new(1, 0, 1), deadline).ok()
+        } else {
+            None
+        };
+        let sse = match &arma {
+            Some(a) => a.sigma2 * es.residuals.len() as f64,
+            None => es.sse,
+        };
+        let n_eff = es.residuals.len().max(1) as f64;
+        let k = 2.0
+            + periods.len() as f64
+            + if use_trend { 1.0 } else { 0.0 }
+            + if lambda.is_some() { 1.0 } else { 0.0 }
+            + if arma.is_some() { 2.0 } else { 0.0 };
+        let aic = n_eff * (sse / n_eff).max(1e-300).ln() + 2.0 * k;
+        let timed_out = es_timed_out || arma.as_ref().is_some_and(|a| a.timed_out);
+        Bats {
+            lambda,
+            offset,
+            has_trend: use_trend,
+            periods: periods.to_vec(),
+            has_arma: arma.is_some(),
+            es,
+            arma,
+            raw,
+            aic,
+            timed_out,
+            n,
+        }
     }
 
     /// Warm-restart fit: reuse the component structure and optimizer state
@@ -266,10 +654,11 @@ impl Bats {
     /// automatic search.
     ///
     /// The expensive parts of [`Bats::fit`] are the 2×2×2 AIC component
-    /// grid (up to eight smoothing-constant searches) and the golden-section
+    /// grid (up to four smoothing-constant searches) and the golden-section
     /// Box-Cox λ selection. A seeded refit skips both: the seed fixes the
     /// component selection (Box-Cox/trend/ARMA flags and λ) and its raw
-    /// optimizer vector becomes the Nelder–Mead starting point, so on
+    /// optimizer vector becomes a Nelder–Mead starting point next to a cold
+    /// restart (the two run side by side on the worker pool), so on
     /// mildly-changed data the search restarts next to the optimum and
     /// converges in a handful of iterations. The positivity offset is
     /// recomputed for the new data (reusing a stale offset could push
@@ -285,29 +674,12 @@ impl Bats {
         seed: &Bats,
         deadline: Option<Instant>,
     ) -> Result<Self, FitError> {
-        if series.iter().any(|v| !v.is_finite()) {
-            return Err(FitError::new("series contains non-finite values"));
-        }
-        let periods: Vec<usize> = config
-            .seasonal_periods
-            .iter()
-            .copied()
-            .filter(|&m| m >= 2 && 2 * m < series.len())
-            .collect();
-        let max_period = periods.iter().copied().max().unwrap_or(0);
-        if series.len() < (2 * max_period).max(10) {
-            return Err(FitError::new(format!(
-                "series too short for BATS: {} < {}",
-                series.len(),
-                (2 * max_period).max(10)
-            )));
-        }
+        let periods = Self::feasible_periods(series, config)?;
         if periods != seed.periods {
             return Err(FitError::new(
                 "seeded BATS refit: feasible seasonal periods changed",
             ));
         }
-
         let (transformed, lambda, offset) = match seed.lambda {
             Some(l) => {
                 let min = series.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -323,8 +695,7 @@ impl Bats {
             }
             None => (series.to_vec(), None, 0.0),
         };
-
-        let (es, es_timed_out, es_raw) = Self::fit_es(
+        let (es, es_timed_out, raw) = Self::fit_es(
             &transformed,
             seed.has_trend,
             &periods,
@@ -332,48 +703,29 @@ impl Bats {
             Some(&seed.raw),
         )
         .ok_or_else(|| FitError::new("seeded BATS refit: smoothing fit failed"))?;
-
-        let arma = if seed.has_arma && es.residuals.len() >= 30 {
-            Arima::fit_with_deadline(&es.residuals, ArimaSpec::new(1, 0, 1), deadline).ok()
-        } else {
-            None
-        };
-        let sse = match &arma {
-            Some(a) => a.sigma2 * es.residuals.len() as f64,
-            None => es.sse,
-        };
-        let n_eff = es.residuals.len().max(1) as f64;
-        let k = 2.0
-            + periods.len() as f64
-            + if seed.has_trend { 1.0 } else { 0.0 }
-            + if lambda.is_some() { 1.0 } else { 0.0 }
-            + if arma.is_some() { 2.0 } else { 0.0 };
-        let aic = n_eff * (sse / n_eff).max(1e-300).ln() + 2.0 * k;
-        let timed_out = es_timed_out || arma.as_ref().is_some_and(|a| a.timed_out);
-        let has_arma = arma.is_some();
-        Ok(Bats {
+        Ok(Self::assemble(
+            es,
+            es_timed_out,
+            raw,
             lambda,
             offset,
-            has_trend: seed.has_trend,
-            periods,
-            has_arma,
-            es,
-            arma,
-            raw: es_raw,
-            aic,
-            timed_out,
-            n: series.len(),
-        })
+            seed.has_trend,
+            &periods,
+            seed.has_arma,
+            deadline,
+            series.len(),
+        ))
     }
 
     /// Fit the exponential-smoothing core with batched Nelder–Mead over
-    /// smoothing constants (sigmoid-constrained). The whole candidate set of
-    /// each simplex iteration is evaluated in one objective call with shared
-    /// scratch, amortizing per-candidate setup. The second element of the
-    /// result reports whether the search was cut short by the deadline; the
-    /// third is the raw optimizer vector at the optimum, reusable as a warm
-    /// start via `seed`. A `seed` whose length does not match the parameter
-    /// dimension is ignored (cold start).
+    /// smoothing constants (sigmoid-constrained). Each optimizer batch — the
+    /// three speculative candidates of an iteration, the shrunken simplex or
+    /// the initial simplex — is advanced by one [`EsBatch`] pass over the
+    /// series. The second element of the result reports whether the search
+    /// was cut short by the deadline; the third is the raw optimizer vector
+    /// at the optimum, reusable as a warm start via `seed`. A `seed` whose
+    /// length does not match the parameter dimension is ignored (cold
+    /// start).
     fn fit_es(
         y: &[f64],
         use_trend: bool,
@@ -381,165 +733,55 @@ impl Bats {
         deadline: Option<Instant>,
         seed: Option<&[f64]>,
     ) -> Option<(EsState, bool, Vec<f64>)> {
-        let n_gammas = periods.len();
-        let dim = 2 + n_gammas;
-        // the optimizer's parameter vector always has length `dim`; a
-        // defensive 0.0 (sigmoid → 0.5) keeps the lookup total
-        let raw_at = |raw: &[f64], i: usize| raw.get(i).copied().unwrap_or(0.0);
-        let mut gamma_scratch = vec![0.0; n_gammas];
-        let mut objective = move |points: &[Vec<f64>]| -> Vec<f64> {
-            points
-                .iter()
-                .map(|raw| {
-                    let alpha = sigmoid(raw_at(raw, 0));
-                    let beta = if use_trend {
-                        sigmoid(raw_at(raw, 1))
-                    } else {
-                        0.0
-                    };
-                    for (g, i) in gamma_scratch.iter_mut().zip(0..) {
-                        *g = sigmoid(raw_at(raw, 2 + i)) * 0.5;
-                    }
-                    match Self::run_es(y, use_trend, periods, alpha, beta, &gamma_scratch) {
-                        Some(st) => st.sse,
-                        None => f64::INFINITY,
-                    }
-                })
-                .collect()
-        };
-        let cold_init = vec![-1.0; dim];
+        let start = EsStart::new(y, use_trend, periods)?;
+        let dim = 2 + periods.len();
         let opts = NelderMeadOptions {
             max_evals: 600 * dim,
             deadline,
             ..Default::default()
         };
+        // one search owns one scratch batch, so concurrent searches share
+        // nothing but the read-only start state
+        let search = |init: &[f64]| {
+            let mut batch = EsBatch::new(y, use_trend, periods, &start);
+            nelder_mead_batched(|points| batch.sse(points), init, &opts)
+        };
+        let cold_init = vec![-1.0; dim];
         // a seeded search restarts from the previous optimum AND from the
         // cold initialization, keeping whichever converges lower: the seed
         // usually wins in a handful of iterations, but when the grown data
         // moved the optimum the cold start stops a stale seed from pinning
-        // the search in its old basin. Ties resolve to the cold-start
-        // result, which is bitwise what a cold fit of this configuration
-        // would produce.
+        // the search in its old basin. The two restarts are independent and
+        // run side by side on the worker pool. Ties resolve to the
+        // cold-start result, which is bitwise what a cold fit of this
+        // configuration would produce.
         let (raw, timed_out) = match seed {
             Some(s) if s.len() == dim => {
-                let (r_seed, f_seed, t_seed) = nelder_mead_batched(&mut objective, s, &opts);
-                let (r_cold, f_cold, t_cold) =
-                    nelder_mead_batched(&mut objective, &cold_init, &opts);
-                if f_seed < f_cold {
-                    (r_seed, t_seed || t_cold)
-                } else {
-                    (r_cold, t_seed || t_cold)
+                let mut runs =
+                    parallel_try_map_range(2, |i| search(if i == 0 { s } else { &cold_init }))
+                        .into_iter()
+                        .map(Result::ok);
+                match (runs.next().flatten(), runs.next().flatten()) {
+                    (Some((r_seed, f_seed, t_seed)), Some((r_cold, f_cold, t_cold))) => {
+                        if f_seed < f_cold {
+                            (r_seed, t_seed || t_cold)
+                        } else {
+                            (r_cold, t_seed || t_cold)
+                        }
+                    }
+                    (Some((r, _, t)), None) | (None, Some((r, _, t))) => (r, t),
+                    (None, None) => return None,
                 }
             }
             _ => {
-                let (r, _, t) = nelder_mead_batched(&mut objective, &cold_init, &opts);
+                let (r, _, t) = search(&cold_init);
                 (r, t)
             }
         };
-        let alpha = sigmoid(raw_at(&raw, 0));
-        let beta = if use_trend {
-            sigmoid(raw_at(&raw, 1))
-        } else {
-            0.0
-        };
-        let gammas: Vec<f64> = (0..n_gammas)
-            .map(|i| sigmoid(raw_at(&raw, 2 + i)) * 0.5)
-            .collect();
-        Self::run_es(y, use_trend, periods, alpha, beta, &gammas).map(|st| (st, timed_out, raw))
+        let mut batch = EsBatch::new(y, use_trend, periods, &start);
+        let st = batch.fitted_state(&raw)?;
+        Some((st, timed_out, raw))
     }
-
-    /// One pass of the additive multi-seasonal smoothing recursion.
-    fn run_es(
-        y: &[f64],
-        use_trend: bool,
-        periods: &[usize],
-        alpha: f64,
-        beta: f64,
-        gammas: &[f64],
-    ) -> Option<EsState> {
-        let warmup = periods.iter().copied().max().unwrap_or(1).max(2);
-        // initial seasonal indices from the first cycle of each period
-        let base = autoai_linalg::mean(y.get(..warmup)?);
-        let mut seasonals: Vec<Vec<f64>> = periods
-            .iter()
-            .map(|&m| {
-                let mut idx = vec![0.0; m];
-                let cycles = y.len() / m;
-                let use_cycles = cycles.clamp(1, 2);
-                for (j, v) in idx.iter_mut().enumerate() {
-                    let mut s = 0.0;
-                    for c in 0..use_cycles {
-                        // c < cycles and j < m, so c*m + j < cycles*m <= len
-                        s += y.get(c * m + j).copied().unwrap_or(base);
-                    }
-                    *v = s / use_cycles as f64 - base;
-                }
-                // divide initial effect among overlapping periods
-                if periods.len() > 1 {
-                    for v in idx.iter_mut() {
-                        *v /= periods.len() as f64;
-                    }
-                }
-                idx
-            })
-            .collect();
-        let mut level = base;
-        let mut trend = if use_trend && y.len() > warmup {
-            (y.get(warmup)? - y.first()?) / warmup as f64
-        } else {
-            0.0
-        };
-        let mut residuals = Vec::with_capacity(y.len());
-        let mut sse = 0.0;
-        // one seasonal index vector per period: zipping keeps the per-period
-        // lookups total (t % m < m == the vector's length by construction)
-        for (t, &x) in y.iter().enumerate() {
-            let season_sum: f64 = periods
-                .iter()
-                .zip(&seasonals)
-                .map(|(&m, s)| s.get(t % m).copied().unwrap_or_default())
-                .sum();
-            let fitted = level + trend + season_sum;
-            let err = x - fitted;
-            if !err.is_finite() {
-                return None;
-            }
-            if t >= warmup {
-                sse += err * err;
-                residuals.push(err);
-            }
-            let prev_level = level;
-            level = alpha * (x - season_sum) + (1.0 - alpha) * (level + trend);
-            if use_trend {
-                trend = beta * (level - prev_level) + (1.0 - beta) * trend;
-            }
-            for j in 0..periods.len() {
-                let other: f64 = periods
-                    .iter()
-                    .zip(&seasonals)
-                    .enumerate()
-                    .filter(|&(k, _)| k != j)
-                    .map(|(_, (&mk, s))| s.get(t % mk).copied().unwrap_or_default())
-                    .sum();
-                let g = gammas.get(j).copied().unwrap_or_default();
-                let m = periods.get(j).copied().unwrap_or(1);
-                if let Some(slot) = seasonals.get_mut(j).and_then(|s| s.get_mut(t % m)) {
-                    *slot = g * (x - level - other) + (1.0 - g) * *slot;
-                }
-            }
-        }
-        Some(EsState {
-            level,
-            trend,
-            seasonals,
-            alpha,
-            beta,
-            gammas: gammas.to_vec(),
-            residuals,
-            sse,
-        })
-    }
-
     /// Forecast `horizon` values on the original scale.
     pub fn forecast(&self, horizon: usize) -> Vec<f64> {
         let arma_fore = self.arma.as_ref().map(|a| a.forecast(horizon));
@@ -682,6 +924,17 @@ mod tests {
             Bats::fit_with_deadline(&y, &BatsConfig::with_periods(vec![4]), Some(past)).unwrap();
         assert!(m.timed_out);
         assert!(m.forecast(8).iter().all(|v| v.is_finite()));
+        // only the first grid combination ran: no Box-Cox, trend or ARMA
+        assert!(m.lambda.is_none() && !m.has_trend && !m.has_arma);
+        let warm = Bats::fit_seeded_with_deadline(
+            &y,
+            &BatsConfig::with_periods(vec![4]),
+            &Bats::fit(&y[..80], &BatsConfig::with_periods(vec![4])).unwrap(),
+            Some(past),
+        )
+        .unwrap();
+        assert!(warm.timed_out);
+        assert!(warm.forecast(8).iter().all(|v| v.is_finite()));
         // a generous deadline behaves exactly like no deadline
         let far = Instant::now() + std::time::Duration::from_secs(600);
         let full =
@@ -748,5 +1001,209 @@ mod tests {
         // period 40 cannot fit twice in 30 points → silently dropped
         let m = Bats::fit(&y, &BatsConfig::with_periods(vec![40])).unwrap();
         assert!(m.periods.is_empty());
+    }
+
+    /// The per-point smoothing recursion the lockstep [`EsBatch`] replaced,
+    /// kept verbatim as the reference it must match bit for bit.
+    fn reference_run_es(
+        y: &[f64],
+        use_trend: bool,
+        periods: &[usize],
+        alpha: f64,
+        beta: f64,
+        gammas: &[f64],
+    ) -> Option<EsState> {
+        let warmup = periods.iter().copied().max().unwrap_or(1).max(2);
+        let base = autoai_linalg::mean(y.get(..warmup)?);
+        let mut seasonals: Vec<Vec<f64>> = periods
+            .iter()
+            .map(|&m| {
+                let mut idx = vec![0.0; m];
+                let cycles = y.len() / m;
+                let use_cycles = cycles.clamp(1, 2);
+                for (j, v) in idx.iter_mut().enumerate() {
+                    let mut s = 0.0;
+                    for c in 0..use_cycles {
+                        s += y.get(c * m + j).copied().unwrap_or(base);
+                    }
+                    *v = s / use_cycles as f64 - base;
+                }
+                if periods.len() > 1 {
+                    for v in idx.iter_mut() {
+                        *v /= periods.len() as f64;
+                    }
+                }
+                idx
+            })
+            .collect();
+        let mut level = base;
+        let mut trend = if use_trend && y.len() > warmup {
+            (y.get(warmup)? - y.first()?) / warmup as f64
+        } else {
+            0.0
+        };
+        let mut residuals = Vec::with_capacity(y.len());
+        let mut sse = 0.0;
+        for (t, &x) in y.iter().enumerate() {
+            let season_sum: f64 = periods
+                .iter()
+                .zip(&seasonals)
+                .map(|(&m, s)| s.get(t % m).copied().unwrap_or_default())
+                .sum();
+            let fitted = level + trend + season_sum;
+            let err = x - fitted;
+            if !err.is_finite() {
+                return None;
+            }
+            if t >= warmup {
+                sse += err * err;
+                residuals.push(err);
+            }
+            let prev_level = level;
+            level = alpha * (x - season_sum) + (1.0 - alpha) * (level + trend);
+            if use_trend {
+                trend = beta * (level - prev_level) + (1.0 - beta) * trend;
+            }
+            for j in 0..periods.len() {
+                let other: f64 = periods
+                    .iter()
+                    .zip(&seasonals)
+                    .enumerate()
+                    .filter(|&(k, _)| k != j)
+                    .map(|(_, (&mk, s))| s.get(t % mk).copied().unwrap_or_default())
+                    .sum();
+                let g = gammas.get(j).copied().unwrap_or_default();
+                let m = periods.get(j).copied().unwrap_or(1);
+                if let Some(slot) = seasonals.get_mut(j).and_then(|s| s.get_mut(t % m)) {
+                    *slot = g * (x - level - other) + (1.0 - g) * *slot;
+                }
+            }
+        }
+        Some(EsState {
+            level,
+            trend,
+            seasonals,
+            alpha,
+            beta,
+            gammas: gammas.to_vec(),
+            residuals,
+            sse,
+        })
+    }
+
+    /// The reference recursion at one raw optimizer point.
+    fn reference_at(y: &[f64], use_trend: bool, periods: &[usize], raw: &[f64]) -> Option<EsState> {
+        let alpha = sigmoid(raw[0]);
+        let beta = if use_trend { sigmoid(raw[1]) } else { 0.0 };
+        let gammas: Vec<f64> = (0..periods.len())
+            .map(|i| sigmoid(raw[2 + i]) * 0.5)
+            .collect();
+        reference_run_es(y, use_trend, periods, alpha, beta, &gammas)
+    }
+
+    fn state_bits(st: &EsState) -> Vec<u64> {
+        [st.level, st.trend, st.alpha, st.beta, st.sse]
+            .iter()
+            .chain(st.seasonals.iter().flatten())
+            .chain(&st.gammas)
+            .chain(&st.residuals)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn lockstep_objective_matches_per_point_recursion_bitwise() {
+        let y: Vec<f64> = (0..160)
+            .map(|i| {
+                let t = i as f64;
+                40.0 + 0.2 * t
+                    + 5.0 * (2.0 * std::f64::consts::PI * t / 6.0).sin()
+                    + 3.0 * (2.0 * std::f64::consts::PI * t / 14.0).cos()
+                    + ((i * 7919) % 13) as f64 * 0.3
+            })
+            .collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 6.0 - 3.0
+        };
+        for periods in [vec![], vec![6], vec![6, 14, 5, 9]] {
+            for use_trend in [false, true] {
+                let start = EsStart::new(&y, use_trend, &periods).unwrap();
+                // one batch reused across sizes: stale scratch must not leak
+                let mut batch = EsBatch::new(&y, use_trend, &periods, &start);
+                let dim = 2 + periods.len();
+                for k in [1usize, 3, 7] {
+                    let mut points: Vec<Vec<f64>> =
+                        (0..k).map(|_| (0..dim).map(|_| next()).collect()).collect();
+                    // a NaN coordinate sends that point's recursion
+                    // non-finite at the first step
+                    let bad = k / 2;
+                    points[bad][0] = f64::NAN;
+                    let got = batch.sse(&points);
+                    assert_eq!(got.len(), k);
+                    for (i, (p, g)) in points.iter().zip(&got).enumerate() {
+                        let want = reference_at(&y, use_trend, &periods, p);
+                        if i == bad {
+                            assert!(want.is_none());
+                        }
+                        let want_sse = want.as_ref().map_or(f64::INFINITY, |st| st.sse);
+                        assert_eq!(
+                            g.to_bits(),
+                            want_sse.to_bits(),
+                            "periods {periods:?} trend {use_trend} K={k} point {i}"
+                        );
+                        // the fitted-state pass runs the same recursion
+                        let fitted = batch.fitted_state(p);
+                        assert_eq!(
+                            fitted.as_ref().map(state_bits),
+                            want.as_ref().map(state_bits),
+                            "fitted state: periods {periods:?} trend {use_trend} point {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_fit_matches_direct_fit_when_nested_in_busy_pool_items() {
+        let y: Vec<f64> = (0..240)
+            .map(|i| {
+                let t = i as f64;
+                30.0 + 0.1 * t
+                    + 5.0 * (2.0 * std::f64::consts::PI * t / 6.0).sin()
+                    + 9.0 * (2.0 * std::f64::consts::PI * t / 14.0).sin()
+                    + ((i * 31) % 7) as f64 * 0.2
+            })
+            .collect();
+        let cfg = BatsConfig::with_periods(vec![6, 14]);
+        let pin = |m: &Bats| {
+            let (a, b, g) = m.smoothing_params();
+            let mut v = vec![m.aic.to_bits(), a.to_bits(), b.to_bits()];
+            v.extend(g.iter().map(|x| x.to_bits()));
+            v.extend(m.lambda.map(f64::to_bits));
+            v.push(u64::from(m.has_trend) | u64::from(m.has_arma) << 1);
+            v.extend(m.forecast(12).iter().map(|x| x.to_bits()));
+            v
+        };
+        let direct = Bats::fit(&y, &cfg).unwrap();
+        let seed = Bats::fit(&y[..200], &cfg).unwrap();
+        let warm = Bats::fit_seeded_with_deadline(&y, &cfg, &seed, None).unwrap();
+        // every pool item is busy with a fit of its own, so the nested
+        // fan-outs run mostly on their owners
+        let nested = parallel_try_map_range(4, |i| {
+            if i % 2 == 0 {
+                Bats::fit(&y, &cfg).map(|m| pin(&m))
+            } else {
+                Bats::fit_seeded_with_deadline(&y, &cfg, &seed, None).map(|m| pin(&m))
+            }
+        });
+        for (i, r) in nested.into_iter().enumerate() {
+            let want = if i % 2 == 0 { pin(&direct) } else { pin(&warm) };
+            assert_eq!(r.unwrap().unwrap(), want, "item {i}");
+        }
     }
 }
