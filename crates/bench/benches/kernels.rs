@@ -1,5 +1,5 @@
 //! Benchmark: the vectorized linalg kernels against naive textbook
-//! references, plus batched vs point-by-point Nelder–Mead.
+//! references.
 //!
 //! Plain `std::time` harness (`harness = false`); run with
 //! `cargo bench -p autoai-bench --bench kernels`.
@@ -8,18 +8,17 @@
 //!
 //! * default — full measurement; writes the machine-readable
 //!   `BENCH_kernels.json` at the repo root (per-kernel naive/fast wall
-//!   times and speedups, batched-NM parity and timing).
+//!   times and speedups).
 //! * `--smoke` — reduced sizes, no JSON; asserts every gated kernel
 //!   (matmul, gram, dot) stays ≥ 2× ahead of its naive reference,
-//!   that all kernels agree with the references within a
-//!   reassociation-sized tolerance, and that the batched Nelder–Mead
-//!   path is bitwise identical to the plain one. Exits non-zero on any
-//!   violation; wired into `scripts/check.sh`.
+//!   and that all kernels agree with the references within a
+//!   reassociation-sized tolerance. Exits non-zero on any violation;
+//!   wired into `scripts/check.sh`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use autoai_linalg::{dot, nelder_mead, nelder_mead_batched, Matrix, NelderMeadOptions, Rng64};
+use autoai_linalg::{dot, Matrix, Rng64};
 
 // ---- naive references (the pre-optimization loop shapes) ---------------
 
@@ -114,63 +113,15 @@ impl KernelResult {
     }
 }
 
-/// One-step SES SSE with a damped-trend second parameter — the batched
-/// variant walks the series once holding every candidate's state, which is
-/// the access pattern the batched optimizer exists for.
-fn ses_sse(series: &[f64], p: &[f64]) -> f64 {
-    let alpha = p[0].clamp(0.01, 0.99);
-    let phi = p[1].clamp(0.0, 1.0);
-    let mut level = series[0];
-    let mut trend = 0.0;
-    let mut sse = 0.0;
-    for &x in &series[1..] {
-        let pred = level + phi * trend;
-        let e = x - pred;
-        sse += e * e;
-        let new_level = pred + alpha * e;
-        trend = phi * trend + alpha * e;
-        level = new_level;
-    }
-    sse
-}
-
-fn ses_sse_batch(series: &[f64], points: &[Vec<f64>]) -> Vec<f64> {
-    let k = points.len();
-    let mut alpha = vec![0.0; k];
-    let mut phi = vec![0.0; k];
-    let mut level = vec![series[0]; k];
-    let mut trend = vec![0.0; k];
-    let mut sse = vec![0.0; k];
-    for (c, p) in points.iter().enumerate() {
-        alpha[c] = p[0].clamp(0.01, 0.99);
-        phi[c] = p[1].clamp(0.0, 1.0);
-    }
-    // one pass over the series updates every candidate: the series is
-    // loaded once instead of once per candidate, and each candidate's
-    // arithmetic happens in exactly the order of `ses_sse`, so the result
-    // is bitwise identical per candidate
-    for &x in &series[1..] {
-        for c in 0..k {
-            let pred = level[c] + phi[c] * trend[c];
-            let e = x - pred;
-            sse[c] += e * e;
-            let new_level = pred + alpha[c] * e;
-            trend[c] = phi[c] * trend[c] + alpha[c] * e;
-            level[c] = new_level;
-        }
-    }
-    sse
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     // shapes chosen from the workspace's real design matrices (hundreds of
     // window rows, tens of lookback columns) plus a square matmul stressing
     // the register tiling
-    let (mm, gram_rows, gram_cols, dot_n, series_n, reps) = if smoke {
-        (96, 512, 32, 4096, 50_000, 5)
+    let (mm, gram_rows, gram_cols, dot_n, reps) = if smoke {
+        (96, 512, 32, 4096, 5)
     } else {
-        (192, 2048, 48, 16384, 200_000, 9)
+        (192, 2048, 48, 16384, 9)
     };
 
     let mut rng = Rng64::seed_from_u64(0xBE7C);
@@ -266,44 +217,6 @@ fn main() {
         );
     }
 
-    println!("== batched Nelder-Mead ==");
-    let series: Vec<f64> = (0..series_n)
-        .map(|i| {
-            20.0 + 0.002 * i as f64
-                + 3.0 * (2.0 * std::f64::consts::PI * i as f64 / 12.0).sin()
-                + rng.range_f64(-0.4, 0.4)
-        })
-        .collect();
-    let opts = NelderMeadOptions {
-        max_evals: 120,
-        ..NelderMeadOptions::default()
-    };
-    let x0 = [0.3, 0.5];
-    let plain_ms = measure_ms(reps.min(5), 1, || {
-        black_box(nelder_mead(|p| ses_sse(black_box(&series), p), &x0, &opts));
-    });
-    let batched_ms = measure_ms(reps.min(5), 1, || {
-        black_box(nelder_mead_batched(
-            |pts| ses_sse_batch(black_box(&series), pts),
-            &x0,
-            &opts,
-        ));
-    });
-    let (px, pv) = nelder_mead(|p| ses_sse(&series, p), &x0, &opts);
-    let (bx, bv, _) = nelder_mead_batched(|pts| ses_sse_batch(&series, pts), &x0, &opts);
-    let nm_parity = pv.to_bits() == bv.to_bits()
-        && px.len() == bx.len()
-        && px.iter().zip(&bx).all(|(a, b)| a.to_bits() == b.to_bits());
-    let nm_speedup = plain_ms / batched_ms;
-    println!(
-        "nelder_mead point-by-point {plain_ms:>10.4} ms   batched {batched_ms:>10.4} ms   \
-         {nm_speedup:>6.2}x   bitwise parity: {nm_parity}"
-    );
-    assert!(
-        nm_parity,
-        "batched Nelder-Mead diverged from the plain path: {pv} vs {bv}"
-    );
-
     let min_gated = results
         .iter()
         .filter(|r| r.gated)
@@ -315,7 +228,7 @@ fn main() {
             min_gated >= 2.0,
             "kernel speedup bar not met: {min_gated:.2}x (need 2x)"
         );
-        println!("smoke: kernel speedups >= 2x, references matched, batched NM bit-identical");
+        println!("smoke: kernel speedups >= 2x, references matched");
         return;
     }
 
@@ -336,7 +249,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3},\n  \"nelder_mead\": {{\n    \"series_len\": {series_n},\n    \"plain_ms\": {plain_ms:.4},\n    \"batched_ms\": {batched_ms:.4},\n    \"speedup\": {nm_speedup:.3},\n    \"bitwise_parity\": {nm_parity}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3}\n}}\n",
         kernel_json.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

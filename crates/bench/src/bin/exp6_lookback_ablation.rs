@@ -1,18 +1,73 @@
-//! Ablation A2 (DESIGN.md §5): does automatic look-back discovery (§4.1)
-//! beat the fixed default of 8, and how close does it get to an oracle
-//! sweep over look-back values?
+//! Look-back discovery (§4.1): Table 1 and ablation A2 (DESIGN.md §5).
 //!
-//! Protocol: for seasonal catalog datasets, fit a WindowRandomForest
-//! pipeline with (a) the discovered look-back, (b) the fixed default 8,
-//! (c) every look-back in a sweep grid (oracle = best of sweep on the
-//! holdout). Reports SMAPE per dataset and the mean regret vs oracle.
+//! First prints Table 1, the frequency→seasonal-period mapping, and the
+//! ordered look-back candidates discovery finds on representative catalog
+//! datasets.
+//!
+//! Then the ablation: does automatic look-back discovery beat the fixed
+//! default of 8, and how close does it get to an oracle sweep over
+//! look-back values? Protocol: for seasonal catalog datasets, fit a
+//! WindowRandomForest pipeline with (a) the discovered look-back, (b) the
+//! fixed default 8, (c) every look-back in a sweep grid (oracle = best of
+//! sweep on the holdout). Reports SMAPE per dataset and the mean regret vs
+//! oracle.
 
 use autoai_bench::evaluate_forecaster;
 use autoai_datasets::univariate_catalog;
-use autoai_lookback::{discover_univariate, LookbackConfig};
+use autoai_lookback::{discover_univariate, seasonal_periods, LookbackConfig};
 use autoai_pipelines::WindowRegressorPipeline;
+use autoai_tsdata::Frequency;
+
+/// Table 1 plus the §4.1 discovery demonstration.
+fn print_table1_and_discovery() {
+    println!("Table 1: mapping of data frequency to seasonal periods\n");
+    println!("{:<10} {:>40}", "frequency", "candidate seasonal periods");
+    for f in [
+        Frequency::Years,
+        Frequency::Months,
+        Frequency::Weeks,
+        Frequency::Days,
+        Frequency::Hours,
+        Frequency::Minutes,
+        Frequency::Seconds,
+    ] {
+        let periods = seasonal_periods(f);
+        println!("{:<10} {:>40}", f.code(), format!("{periods:?}"));
+    }
+
+    println!("\n§4.1 discovery on catalog datasets (ordered candidates, best first):\n");
+    let catalog = univariate_catalog();
+    for name in [
+        "AirPassengers",
+        "elecdaily",
+        "Sunspots",
+        "Twitter-volume-AAPL",
+        "PJME-MW",
+    ] {
+        let entry = catalog
+            .iter()
+            .find(|e| e.name == name)
+            // tscheck:allow(panic): experiment driver fails fast on a broken setup
+            .expect("catalog name");
+        let frame = entry.generate(31);
+        let lbs = discover_univariate(
+            frame.series(0),
+            frame.timestamps(),
+            &LookbackConfig::default(),
+        );
+        println!(
+            "{:<24} len {:>5}  look-backs {:?}",
+            entry.name,
+            frame.len(),
+            lbs
+        );
+    }
+    println!();
+}
 
 fn main() {
+    print_table1_and_discovery();
+
     let quick = std::env::args().any(|a| a == "--quick");
     let mut catalog = univariate_catalog();
     catalog.retain(|e| e.scaled_len() >= 300);

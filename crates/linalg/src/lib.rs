@@ -21,9 +21,7 @@ pub mod sync;
 
 pub use fft::{dominant_period, fft_complex, periodogram, Complex};
 pub use matrix::{axpy, dot, Matrix};
-pub use optimize::{
-    golden_section_min, nelder_mead, nelder_mead_batched, nelder_mead_budgeted, NelderMeadOptions,
-};
+pub use optimize::{golden_section_min, nelder_mead, NelderMeadOptions};
 pub use par::{
     parallel_try_map_mut, parallel_try_map_range, supervised_try_map, SupervisedOutcome,
     WorkerPanic,

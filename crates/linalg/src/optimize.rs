@@ -1,15 +1,26 @@
 //! Derivative-free optimizers.
 //!
 //! Statistical model fitting in AutoAI-TS (Holt–Winters smoothing constants,
-//! ARMA coefficients via conditional sum of squares, BATS Box-Cox lambda)
-//! minimizes non-convex objectives without analytic gradients. Nelder–Mead
-//! simplex is the workhorse, with a golden-section line search for 1-D
+//! ARMA coefficients via conditional sum of squares, BATS smoothing
+//! constants, GARCH variance parameters) minimizes non-convex objectives
+//! without analytic gradients. [`nelder_mead`] is the one simplex search
+//! every model fit runs through, with a golden-section line search for 1-D
 //! problems such as Box-Cox lambda selection.
+//!
+//! The search is lazy: each iteration evaluates the reflection, then the
+//! expansion or the contraction only when the decision tree asks for it,
+//! one point per objective call. Evaluating all three candidates up front,
+//! so that an objective could amortize setup across them, costs about three
+//! evaluations per iteration where the search uses one or two. An objective
+//! that reuses scratch between calls keeps it in its `FnMut` state instead
+//! (BATS's smoothing recursion does).
 
 /// Options controlling the Nelder–Mead simplex search.
 #[derive(Debug, Clone)]
 pub struct NelderMeadOptions {
-    /// Maximum number of objective evaluations.
+    /// Maximum number of objective evaluations. The search stops at the
+    /// first iteration that starts with this many evaluations spent, so it
+    /// can overshoot by at most one shrink, i.e. the parameter dimension.
     pub max_evals: usize,
     /// Convergence tolerance on the simplex spread of objective values.
     pub f_tol: f64,
@@ -35,30 +46,19 @@ impl Default for NelderMeadOptions {
 
 /// Minimize `f` starting from `x0` with the Nelder–Mead simplex method.
 ///
-/// Returns `(argmin, min_value)`. The objective may return non-finite values
-/// to signal infeasible points; they are treated as `+inf`. A configured
-/// [`NelderMeadOptions::deadline`] is honored (see [`nelder_mead_budgeted`]
-/// when the caller needs to know whether the search was cut short).
+/// Returns `(argmin, min_value, timed_out)`. The objective may return
+/// non-finite values to signal infeasible points; they are treated as
+/// `+inf`. It is called once per evaluated point, and every call counts
+/// against [`NelderMeadOptions::max_evals`]. `timed_out` reports that the
+/// search exited early because [`NelderMeadOptions::deadline`] passed; the
+/// argmin is then the best simplex vertex found before the deadline
+/// (best-so-far semantics).
 pub fn nelder_mead(
-    f: impl Fn(&[f64]) -> f64,
-    x0: &[f64],
-    opts: &NelderMeadOptions,
-) -> (Vec<f64>, f64) {
-    let (x, v, _) = nelder_mead_budgeted(f, x0, opts);
-    (x, v)
-}
-
-/// [`nelder_mead`] variant that also reports whether the search exited early
-/// because [`NelderMeadOptions::deadline`] passed. Returns
-/// `(argmin, min_value, timed_out)`; on `timed_out == true` the argmin is the
-/// best simplex vertex found before the deadline (best-so-far semantics).
-pub fn nelder_mead_budgeted(
-    f: impl Fn(&[f64]) -> f64,
+    mut f: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     opts: &NelderMeadOptions,
 ) -> (Vec<f64>, f64, bool) {
-    let n = x0.len();
-    let eval = |x: &[f64]| -> f64 {
+    let mut eval = |x: &[f64]| -> f64 {
         let v = f(x);
         if v.is_finite() {
             v
@@ -66,27 +66,35 @@ pub fn nelder_mead_budgeted(
             f64::INFINITY
         }
     };
+    let n = x0.len();
     if n == 0 {
         return (Vec::new(), eval(x0), false);
     }
     // standard coefficients
     let (alpha, gamma, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
 
-    let mut simplex: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
-    simplex.push(x0.to_vec());
-    for i in 0..n {
+    // (vertex, objective value) pairs; after the sort below, best first
+    let steps = x0.iter().enumerate().map(|(i, &xi)| {
         let mut p = x0.to_vec();
-        let step = if p[i].abs() > 1e-8 {
-            p[i].abs() * opts.initial_step
-        } else {
-            opts.initial_step
-        };
-        p[i] += step;
-        simplex.push(p);
-    }
-    let mut values: Vec<f64> = simplex.iter().map(|p| eval(p)).collect();
-    let mut evals = values.len();
+        if let Some(v) = p.get_mut(i) {
+            *v += if xi.abs() > 1e-8 {
+                xi.abs() * opts.initial_step
+            } else {
+                opts.initial_step
+            };
+        }
+        p
+    });
+    let mut simplex: Vec<(Vec<f64>, f64)> = std::iter::once(x0.to_vec())
+        .chain(steps)
+        .map(|p| {
+            let v = eval(&p);
+            (p, v)
+        })
+        .collect();
+    let mut evals = simplex.len();
     let mut timed_out = false;
+    let mut centroid = vec![0.0; n];
 
     while evals < opts.max_evals {
         if let Some(deadline) = opts.deadline {
@@ -95,20 +103,20 @@ pub fn nelder_mead_budgeted(
                 break;
             }
         }
-        // order simplex by objective
-        let mut idx: Vec<usize> = (0..=n).collect();
-        idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-        let simplex_sorted: Vec<Vec<f64>> = idx.iter().map(|&i| simplex[i].clone()).collect();
-        let values_sorted: Vec<f64> = idx.iter().map(|&i| values[i]).collect();
-        simplex = simplex_sorted;
-        values = values_sorted;
+        // order simplex by objective (stable, so ties keep vertex order)
+        simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let (Some((x_best, f_best)), Some(&(_, f_next)), Some((x_worst, f_worst))) =
+            (simplex.first(), simplex.iter().rev().nth(1), simplex.last())
+        else {
+            break; // unreachable: n >= 1, so the simplex has >= 2 vertices
+        };
 
         // converge only when both objective spread AND simplex extent are
         // small: equal f-values alone can straddle a minimum symmetrically.
-        if (values[n] - values[0]).abs() < opts.f_tol && values[0].is_finite() {
+        if (f_worst - f_best).abs() < opts.f_tol && f_best.is_finite() {
             let mut x_spread = 0.0f64;
-            for p in simplex.iter().skip(1) {
-                for (a, b) in p.iter().zip(&simplex[0]) {
+            for (p, _) in simplex.iter().skip(1) {
+                for (a, b) in p.iter().zip(x_best) {
                     x_spread = x_spread.max((a - b).abs());
                 }
             }
@@ -116,10 +124,11 @@ pub fn nelder_mead_budgeted(
                 break;
             }
         }
+        let (f_best, f_worst) = (*f_best, *f_worst);
 
         // centroid of all but worst
-        let mut centroid = vec![0.0; n];
-        for p in simplex.iter().take(n) {
+        centroid.fill(0.0);
+        for (p, _) in simplex.iter().take(n) {
             for (c, &x) in centroid.iter_mut().zip(p) {
                 *c += x / n as f64;
             }
@@ -127,222 +136,63 @@ pub fn nelder_mead_budgeted(
 
         let reflect: Vec<f64> = centroid
             .iter()
-            .zip(&simplex[n])
+            .zip(x_worst)
             .map(|(&c, &w)| c + alpha * (c - w))
             .collect();
         let fr = eval(&reflect);
         evals += 1;
 
-        if fr < values[0] {
+        let replacement = if fr < f_best {
             // expansion
             let expand: Vec<f64> = centroid
                 .iter()
-                .zip(&simplex[n])
+                .zip(x_worst)
                 .map(|(&c, &w)| c + gamma * (c - w))
                 .collect();
             let fe = eval(&expand);
             evals += 1;
-            if fe < fr {
-                simplex[n] = expand;
-                values[n] = fe;
-            } else {
-                simplex[n] = reflect;
-                values[n] = fr;
-            }
-        } else if fr < values[n - 1] {
-            simplex[n] = reflect;
-            values[n] = fr;
+            Some(if fe < fr { (expand, fe) } else { (reflect, fr) })
+        } else if fr < f_next {
+            Some((reflect, fr))
         } else {
             // contraction
             let contract: Vec<f64> = centroid
                 .iter()
-                .zip(&simplex[n])
+                .zip(x_worst)
                 .map(|(&c, &w)| c + rho * (w - c))
                 .collect();
             let fc = eval(&contract);
             evals += 1;
-            if fc < values[n] {
-                simplex[n] = contract;
-                values[n] = fc;
-            } else {
-                // shrink toward best
-                for i in 1..=n {
-                    let best = simplex[0].clone();
-                    for (x, &b) in simplex[i].iter_mut().zip(&best) {
-                        *x = b + sigma * (*x - b);
-                    }
-                    values[i] = eval(&simplex[i]);
-                    evals += 1;
-                }
-            }
-        }
-    }
-
-    let mut best = 0;
-    for i in 1..values.len() {
-        if values[i] < values[best] {
-            best = i;
-        }
-    }
-    (simplex[best].clone(), values[best], timed_out)
-}
-
-/// Batched Nelder–Mead: identical trajectory to [`nelder_mead_budgeted`],
-/// but the objective receives whole candidate *sets* per call.
-///
-/// Every iteration evaluates the full speculative candidate set — reflect,
-/// expand, contract — in one call, and a shrink evaluates all `n` moved
-/// vertices as one batch (the initial simplex is likewise one batch of
-/// `n + 1`). Model fit loops (Holt–Winters, ARIMA CSS, BATS, GARCH) use
-/// this to amortize per-call setup — scratch allocation, series transforms,
-/// state-vector initialization — across candidates instead of paying it per
-/// point.
-///
-/// Equivalence contract: for an objective where `fbatch(points)[i]` equals
-/// the serial objective at `points[i]`, this returns **bitwise** the same
-/// `(argmin, min_value, timed_out)` as [`nelder_mead_budgeted`]. Candidate
-/// points are built identically, the decision tree is identical, and the
-/// evaluation *budget* is spent exactly as the serial path would spend it:
-/// speculative values the serial path would not have computed are discarded
-/// without being counted against `max_evals`, so both variants stop at the
-/// same iteration. A batch result shorter than its candidate set is padded
-/// with `+inf` (defensive; such objectives are buggy).
-pub fn nelder_mead_batched(
-    mut fbatch: impl FnMut(&[Vec<f64>]) -> Vec<f64>,
-    x0: &[f64],
-    opts: &NelderMeadOptions,
-) -> (Vec<f64>, f64, bool) {
-    let n = x0.len();
-    let mut eval_batch = move |points: &[Vec<f64>]| -> Vec<f64> {
-        let mut out: Vec<f64> = fbatch(points)
-            .into_iter()
-            .take(points.len())
-            .map(|v| if v.is_finite() { v } else { f64::INFINITY })
-            .collect();
-        out.resize(points.len(), f64::INFINITY);
-        out
-    };
-    if n == 0 {
-        let vals = eval_batch(&[x0.to_vec()]);
-        let v = vals.first().copied().unwrap_or(f64::INFINITY);
-        return (Vec::new(), v, false);
-    }
-    let (alpha, gamma, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
-
-    let mut simplex: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
-    simplex.push(x0.to_vec());
-    for i in 0..n {
-        let mut p = x0.to_vec();
-        let step = if p[i].abs() > 1e-8 {
-            p[i].abs() * opts.initial_step
-        } else {
-            opts.initial_step
+            (fc < f_worst).then_some((contract, fc))
         };
-        p[i] += step;
-        simplex.push(p);
-    }
-    let mut values: Vec<f64> = eval_batch(&simplex);
-    let mut evals = values.len();
-    let mut timed_out = false;
-
-    while evals < opts.max_evals {
-        if let Some(deadline) = opts.deadline {
-            if std::time::Instant::now() >= deadline {
-                timed_out = true;
-                break;
-            }
-        }
-        let mut idx: Vec<usize> = (0..=n).collect();
-        idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-        let simplex_sorted: Vec<Vec<f64>> = idx.iter().map(|&i| simplex[i].clone()).collect();
-        let values_sorted: Vec<f64> = idx.iter().map(|&i| values[i]).collect();
-        simplex = simplex_sorted;
-        values = values_sorted;
-
-        if (values[n] - values[0]).abs() < opts.f_tol && values[0].is_finite() {
-            let mut x_spread = 0.0f64;
-            for p in simplex.iter().skip(1) {
-                for (a, b) in p.iter().zip(&simplex[0]) {
-                    x_spread = x_spread.max((a - b).abs());
+        match replacement {
+            Some(vertex) => {
+                if let Some(worst) = simplex.last_mut() {
+                    *worst = vertex;
                 }
             }
-            if x_spread < 1e-7 {
-                break;
-            }
-        }
-
-        let mut centroid = vec![0.0; n];
-        for p in simplex.iter().take(n) {
-            for (c, &x) in centroid.iter_mut().zip(p) {
-                *c += x / n as f64;
-            }
-        }
-
-        // the whole speculative candidate set, evaluated as one batch
-        let reflect: Vec<f64> = centroid
-            .iter()
-            .zip(&simplex[n])
-            .map(|(&c, &w)| c + alpha * (c - w))
-            .collect();
-        let expand: Vec<f64> = centroid
-            .iter()
-            .zip(&simplex[n])
-            .map(|(&c, &w)| c + gamma * (c - w))
-            .collect();
-        let contract: Vec<f64> = centroid
-            .iter()
-            .zip(&simplex[n])
-            .map(|(&c, &w)| c + rho * (w - c))
-            .collect();
-        let spec = eval_batch(&[reflect.clone(), expand.clone(), contract.clone()]);
-        let (fr, fe, fc) = (spec[0], spec[1], spec[2]);
-        // reflection is always charged, exactly as in the serial path
-        evals += 1;
-
-        if fr < values[0] {
-            // the serial path evaluates the expansion here — charge it
-            evals += 1;
-            if fe < fr {
-                simplex[n] = expand;
-                values[n] = fe;
-            } else {
-                simplex[n] = reflect;
-                values[n] = fr;
-            }
-        } else if fr < values[n - 1] {
-            // fe and fc were speculative: discarded, never charged
-            simplex[n] = reflect;
-            values[n] = fr;
-        } else {
-            // the serial path evaluates the contraction here — charge it
-            evals += 1;
-            if fc < values[n] {
-                simplex[n] = contract;
-                values[n] = fc;
-            } else {
-                // shrink toward best, all moved vertices as one batch
-                let best = simplex[0].clone();
-                for p in simplex.iter_mut().skip(1) {
-                    for (x, &b) in p.iter_mut().zip(&best) {
-                        *x = b + sigma * (*x - b);
+            None => {
+                // shrink toward best
+                if let Some(((best, _), rest)) = simplex.split_first_mut() {
+                    for (p, v) in rest {
+                        for (x, &b) in p.iter_mut().zip(best.iter()) {
+                            *x = b + sigma * (*x - b);
+                        }
+                        *v = eval(p);
+                        evals += 1;
                     }
                 }
-                let shrunk = eval_batch(&simplex[1..]);
-                for (v, nv) in values.iter_mut().skip(1).zip(shrunk) {
-                    *v = nv;
-                }
-                evals += n;
             }
         }
     }
 
-    let mut best = 0;
-    for i in 1..values.len() {
-        if values[i] < values[best] {
-            best = i;
-        }
-    }
-    (simplex[best].clone(), values[best], timed_out)
+    // the first vertex with the lowest value (the simplex need not be
+    // sorted after the last replacement)
+    let (x, v) = simplex
+        .into_iter()
+        .reduce(|best, cand| if cand.1 < best.1 { cand } else { best })
+        .unwrap_or_default();
+    (x, v, timed_out)
 }
 
 /// Golden-section search for the minimum of a unimodal 1-D function on `[a, b]`.
@@ -380,10 +230,11 @@ mod tests {
     #[test]
     fn nelder_mead_minimizes_quadratic() {
         let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-        let (x, v) = nelder_mead(f, &[0.0, 0.0], &NelderMeadOptions::default());
+        let (x, v, timed_out) = nelder_mead(f, &[0.0, 0.0], &NelderMeadOptions::default());
         assert!((x[0] - 3.0).abs() < 1e-3, "{x:?}");
         assert!((x[1] + 1.0).abs() < 1e-3, "{x:?}");
         assert!(v < 1e-5);
+        assert!(!timed_out);
     }
 
     #[test]
@@ -397,7 +248,7 @@ mod tests {
             max_evals: 10_000,
             ..Default::default()
         };
-        let (x, _) = nelder_mead(f, &[-1.2, 1.0], &opts);
+        let (x, _, _) = nelder_mead(f, &[-1.2, 1.0], &opts);
         assert!((x[0] - 1.0).abs() < 0.05, "{x:?}");
         assert!((x[1] - 1.0).abs() < 0.05, "{x:?}");
     }
@@ -412,15 +263,52 @@ mod tests {
                 (x[0] - 0.5).powi(2)
             }
         };
-        let (x, _) = nelder_mead(f, &[2.0], &NelderMeadOptions::default());
+        let (x, _, _) = nelder_mead(f, &[2.0], &NelderMeadOptions::default());
         assert!((x[0] - 0.5).abs() < 1e-3, "{x:?}");
     }
 
     #[test]
     fn nelder_mead_zero_dimensional() {
-        let (x, v) = nelder_mead(|_| 7.0, &[], &NelderMeadOptions::default());
+        let (x, v, timed_out) = nelder_mead(|_| 7.0, &[], &NelderMeadOptions::default());
         assert!(x.is_empty());
         assert_eq!(v, 7.0);
+        assert!(!timed_out);
+    }
+
+    #[test]
+    fn objective_calls_equal_the_charged_budget() {
+        // Rosenbrock from a bad start never converges within these caps,
+        // so every run ends on the budget. The search charges each call
+        // it makes and stops once the charge reaches `max_evals`, so the
+        // calls land in [max_evals, max_evals + dim]: a shrink, the only
+        // multi-point step, charges `dim`. Evaluating candidates the
+        // decision tree does not use would overshoot this bound.
+        let dim = 3;
+        for max_evals in (10..=400).step_by(13) {
+            let mut calls = 0usize;
+            let f = |x: &[f64]| {
+                calls += 1;
+                x.windows(2)
+                    .map(|w| {
+                        let a = 1.0 - w[0];
+                        let b = w[1] - w[0] * w[0];
+                        a * a + 100.0 * b * b
+                    })
+                    .sum::<f64>()
+            };
+            let opts = NelderMeadOptions {
+                max_evals,
+                f_tol: 0.0,
+                ..Default::default()
+            };
+            let (x, v, timed_out) = nelder_mead(f, &[-1.2, 1.0, -0.5], &opts);
+            assert_eq!(x.len(), dim);
+            assert!(v.is_finite() && !timed_out);
+            assert!(
+                (max_evals..=max_evals + dim).contains(&calls),
+                "max_evals {max_evals}: {calls} objective calls"
+            );
+        }
     }
 
     #[test]
@@ -430,7 +318,7 @@ mod tests {
             deadline: Some(std::time::Instant::now()),
             ..Default::default()
         };
-        let (x, v, timed_out) = nelder_mead_budgeted(f, &[0.0], &opts);
+        let (x, v, timed_out) = nelder_mead(f, &[0.0], &opts);
         assert!(timed_out);
         assert_eq!(x.len(), 1);
         assert!(v.is_finite());
@@ -439,82 +327,19 @@ mod tests {
     #[test]
     fn far_deadline_does_not_change_the_result() {
         let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-        let opts = NelderMeadOptions {
+        let far = NelderMeadOptions {
             deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
             ..Default::default()
         };
-        let (budgeted, _, timed_out) = nelder_mead_budgeted(f, &[0.0, 0.0], &opts);
-        let (plain, _) = nelder_mead(f, &[0.0, 0.0], &NelderMeadOptions::default());
-        assert!(!timed_out);
-        assert_eq!(budgeted, plain);
-    }
-
-    fn batchify(f: impl Fn(&[f64]) -> f64) -> impl FnMut(&[Vec<f64>]) -> Vec<f64> {
-        move |points: &[Vec<f64>]| points.iter().map(|p| f(p)).collect()
-    }
-
-    #[test]
-    fn batched_matches_plain_bitwise_on_quadratic() {
-        let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-        let opts = NelderMeadOptions::default();
-        let (bx, bv, bt) = nelder_mead_batched(batchify(f), &[0.0, 0.0], &opts);
-        let (px, pv, pt) = nelder_mead_budgeted(f, &[0.0, 0.0], &opts);
-        assert_eq!(bx, px);
-        assert_eq!(bv.to_bits(), pv.to_bits());
-        assert_eq!(bt, pt);
-    }
-
-    #[test]
-    fn batched_matches_plain_bitwise_on_rosenbrock() {
-        // long run from a bad start exercises contraction and shrink paths
-        let f = |x: &[f64]| {
-            let a = 1.0 - x[0];
-            let b = x[1] - x[0] * x[0];
-            a * a + 100.0 * b * b
-        };
-        let opts = NelderMeadOptions {
-            max_evals: 10_000,
+        let none = NelderMeadOptions {
+            deadline: None,
             ..Default::default()
         };
-        let (bx, bv, _) = nelder_mead_batched(batchify(f), &[-1.2, 1.0], &opts);
-        let (px, pv, _) = nelder_mead_budgeted(f, &[-1.2, 1.0], &opts);
-        assert_eq!(bx, px);
-        assert_eq!(bv.to_bits(), pv.to_bits());
-    }
-
-    #[test]
-    fn batched_matches_plain_on_infeasible_regions() {
-        let f = |x: &[f64]| {
-            if x[0] < 0.0 {
-                f64::INFINITY
-            } else {
-                (x[0] - 0.5).powi(2)
-            }
-        };
-        let opts = NelderMeadOptions::default();
-        let (bx, bv, _) = nelder_mead_batched(batchify(f), &[2.0], &opts);
-        let (px, pv, _) = nelder_mead_budgeted(f, &[2.0], &opts);
-        assert_eq!(bx, px);
-        assert_eq!(bv.to_bits(), pv.to_bits());
-    }
-
-    #[test]
-    fn batched_zero_dimensional_and_short_batches() {
-        let (x, v, t) = nelder_mead_batched(batchify(|_| 7.0), &[], &NelderMeadOptions::default());
-        assert!(x.is_empty());
-        assert_eq!(v, 7.0);
-        assert!(!t);
-        // a buggy objective returning too few values degrades to +inf
-        // padding instead of panicking
-        let (_, v, _) = nelder_mead_batched(
-            |_points: &[Vec<f64>]| Vec::new(),
-            &[1.0],
-            &NelderMeadOptions {
-                max_evals: 20,
-                ..Default::default()
-            },
-        );
-        assert!(v.is_infinite());
+        let (bounded, bounded_v, timed_out) = nelder_mead(f, &[0.0, 0.0], &far);
+        let (unbounded, unbounded_v, _) = nelder_mead(f, &[0.0, 0.0], &none);
+        assert!(!timed_out);
+        assert_eq!(bounded, unbounded);
+        assert_eq!(bounded_v.to_bits(), unbounded_v.to_bits());
     }
 
     #[test]

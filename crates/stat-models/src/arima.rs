@@ -21,9 +21,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use autoai_linalg::{
-    lstsq, nelder_mead_budgeted, parallel_try_map_range, Matrix, NelderMeadOptions,
-};
+use autoai_linalg::{lstsq, nelder_mead, parallel_try_map_range, Matrix, NelderMeadOptions};
 
 use crate::FitError;
 
@@ -181,12 +179,7 @@ impl Arima {
     /// fully re-optimized fit of `series`, so fit quality matches a cold
     /// [`Arima::fit`]; only the optimizer's path is shortened. A seed whose
     /// specification differs from `spec` falls back to the cold start
-    /// (coefficients would not align with the lag structure).
-    pub fn fit_seeded(series: &[f64], spec: ArimaSpec, seed: &Arima) -> Result<Self, FitError> {
-        Self::fit_seeded_with_deadline(series, spec, seed, None)
-    }
-
-    /// [`Arima::fit_seeded`] under a cooperative fit deadline; see
+    /// (coefficients would not align with the lag structure). See
     /// [`Arima::fit_with_deadline`] for the timeout semantics.
     pub fn fit_seeded_with_deadline(
         series: &[f64],
@@ -292,7 +285,7 @@ impl Arima {
                 deadline,
                 ..Default::default()
             };
-            let (params, _, timed_out) = nelder_mead_budgeted(css, &init, &opts);
+            let (params, _, timed_out) = nelder_mead(css, &init, &opts);
             (params, timed_out)
         } else {
             (Vec::new(), false)
@@ -583,22 +576,12 @@ pub fn auto_arima_with_deadline(
 /// Stepwise selection seeded by a previous winner (warm start for T-Daub's
 /// growing allocations): the hill climb starts in the seed's `(p, q)`
 /// neighborhood and the seed-spec fit restarts its CSS search from the
-/// previous coefficients via [`Arima::fit_seeded`]. Differencing and the
-/// seasonal decision are always re-detected on the new data; when either
-/// disagrees with the seed's specification the search falls back to the
-/// cold start, so a stale seed costs nothing but its detection pass.
-pub fn auto_arima_seeded(
-    series: &[f64],
-    max_p: usize,
-    max_q: usize,
-    m: usize,
-    seed: &Arima,
-) -> Result<Arima, FitError> {
-    auto_arima_impl(series, max_p, max_q, m, Some(seed), None)
-}
-
-/// [`auto_arima_seeded`] under a cooperative fit deadline; see
-/// [`auto_arima_with_deadline`] for the timeout semantics.
+/// previous coefficients via [`Arima::fit_seeded_with_deadline`].
+/// Differencing and the seasonal decision are always re-detected on the
+/// new data; when either disagrees with the seed's specification the
+/// search falls back to the cold start, so a stale seed costs nothing but
+/// its detection pass. See [`auto_arima_with_deadline`] for the timeout
+/// semantics.
 pub fn auto_arima_seeded_with_deadline(
     series: &[f64],
     max_p: usize,
@@ -894,7 +877,8 @@ mod tests {
     fn seeded_fit_matches_cold_fit_quality() {
         let x = ar1_series(0.7, 900, 21, 0.5);
         let seed = Arima::fit(&x[..600], ArimaSpec::new(1, 0, 1)).unwrap();
-        let warm = Arima::fit_seeded(&x, ArimaSpec::new(1, 0, 1), &seed).unwrap();
+        let warm =
+            Arima::fit_seeded_with_deadline(&x, ArimaSpec::new(1, 0, 1), &seed, None).unwrap();
         let cold = Arima::fit(&x, ArimaSpec::new(1, 0, 1)).unwrap();
         // both optimize the same CSS surface; the warm restart must land in
         // the same basin, not a degraded one
@@ -911,7 +895,8 @@ mod tests {
     fn seeded_fit_with_mismatched_spec_falls_back_to_cold() {
         let x = ar1_series(0.6, 500, 8, 0.5);
         let seed = Arima::fit(&x[..300], ArimaSpec::new(2, 0, 0)).unwrap();
-        let warm = Arima::fit_seeded(&x, ArimaSpec::new(1, 0, 0), &seed).unwrap();
+        let warm =
+            Arima::fit_seeded_with_deadline(&x, ArimaSpec::new(1, 0, 0), &seed, None).unwrap();
         assert_eq!(warm.spec, ArimaSpec::new(1, 0, 0));
         assert!(warm.sigma2.is_finite());
     }
@@ -920,7 +905,7 @@ mod tests {
     fn auto_arima_seeded_matches_cold_selection_quality() {
         let x = ar1_series(0.6, 500, 9, 0.5);
         let seed = auto_arima(&x[..350], 3, 3, 0).unwrap();
-        let warm = auto_arima_seeded(&x, 3, 3, 0, &seed).unwrap();
+        let warm = auto_arima_seeded_with_deadline(&x, 3, 3, 0, &seed, None).unwrap();
         let cold = auto_arima(&x, 3, 3, 0).unwrap();
         assert_eq!(warm.spec.d, cold.spec.d);
         let fw = warm.forecast(8);
@@ -994,13 +979,13 @@ mod tests {
         for (y, m) in cases {
             let direct = pin(&auto_arima(y, 3, 3, m).unwrap());
             let seed = auto_arima(&y[..y.len() - 40], 3, 3, m).unwrap();
-            let warm = pin(&auto_arima_seeded(y, 3, 3, m, &seed).unwrap());
+            let warm = pin(&auto_arima_seeded_with_deadline(y, 3, 3, m, &seed, None).unwrap());
             // every pool item runs a selection of its own
             let nested = parallel_try_map_range(4, |i| {
                 if i % 2 == 0 {
                     auto_arima(y, 3, 3, m).map(|a| pin(&a))
                 } else {
-                    auto_arima_seeded(y, 3, 3, m, &seed).map(|a| pin(&a))
+                    auto_arima_seeded_with_deadline(y, 3, 3, m, &seed, None).map(|a| pin(&a))
                 }
             });
             for (i, r) in nested.into_iter().enumerate() {

@@ -10,24 +10,22 @@
 //! over the 2×2×2 grid (Box-Cox × trend × ARMA), exactly the spirit of the
 //! reference implementation's automatic component search.
 //!
-//! Cost structure. Each Box-Cox × trend combination runs one batched
-//! Nelder–Mead search over the smoothing constants. The optimizer hands its
-//! objective whole batches: the three speculative candidates of an
-//! iteration (reflect, expand, contract), or the shrunken simplex. An
-//! `EsBatch` advances every point of a batch through the series in one
-//! lockstep pass. Its flat scratch is reused across batches, the start
-//! state (`EsStart`) is computed once per search, and each period's
-//! position in its cycle is a counter rather than a `t % m`. Every point's
-//! arithmetic keeps the single-point recursion's order, so SSEs and fitted
-//! states are bit-identical to evaluating the points one at a time. The
-//! four combinations are independent searches and run side by side on the
-//! shared worker pool (`parallel_try_map_range`), as do a seeded refit's
-//! seed and cold restarts. Results merge in the fixed grid order, so the
-//! selection never depends on scheduling.
+//! Cost structure. Each Box-Cox × trend combination runs one Nelder–Mead
+//! search over the smoothing constants, which hands its objective one
+//! point per call. Each search owns one `EsRecursion`, whose scratch is
+//! sized once and reused from call to call, so an evaluation allocates
+//! nothing. The start state (`EsStart`) is computed once per search, and
+//! each period's position in its cycle is a counter rather than a
+//! `t % m`. The arithmetic keeps the reference recursion's order, so SSEs
+//! and fitted states are bit-identical to it. The four combinations are
+//! independent searches and run side by side on the shared worker pool
+//! (`parallel_try_map_range`), as do a seeded refit's seed and cold
+//! restarts. Results merge in the fixed grid order, so the selection never
+//! depends on scheduling.
 
 use std::time::Instant;
 
-use autoai_linalg::{nelder_mead_batched, parallel_try_map_range, NelderMeadOptions};
+use autoai_linalg::{nelder_mead, parallel_try_map_range, NelderMeadOptions};
 
 use crate::arima::{Arima, ArimaSpec};
 use crate::FitError;
@@ -204,53 +202,48 @@ impl EsStart {
     }
 }
 
-/// One point's recursion state inside an [`EsBatch`].
-#[derive(Debug, Clone, Copy)]
+/// The recursion state of the point being evaluated.
+#[derive(Debug, Clone, Copy, Default)]
 struct EsPoint {
     alpha: f64,
     beta: f64,
     level: f64,
     trend: f64,
     sse: f64,
-    /// Cleared at the first non-finite one-step error; the point is then
-    /// frozen and scores `+inf`.
-    finite: bool,
 }
 
-/// The lockstep additive multi-seasonal smoothing recursion: one pass over
-/// the series advances every point of an optimizer batch.
+/// The additive multi-seasonal smoothing recursion of one search, run at
+/// one raw optimizer point per call.
 ///
-/// Its scratch (per-point states, smoothing constants and seasonal cycles
-/// in flat buffers) is reused from batch to batch, so after the first
-/// batch of a search a pass allocates nothing. The start state comes
-/// precomputed from [`EsStart`]. Each period's position in its cycle is a
-/// counter advanced once per step for the whole batch, instead of a
-/// `t % m` per point, period and summand. Each point's arithmetic runs in
-/// the single-point recursion's exact order, including the summation
-/// order of the seasonal terms, so every point's SSE and fitted state are
-/// bit-identical to a recursion of its own.
-struct EsBatch<'a> {
+/// Its scratch (the point's state, seasonal smoothing constants and
+/// seasonal cycles) is sized once and reused from call to call, so an
+/// evaluation allocates nothing. The start state comes precomputed from
+/// [`EsStart`]. Each period's position in its cycle is a counter advanced
+/// once per step instead of a `t % m` per period and summand. The
+/// arithmetic runs in the reference recursion's exact order, including the
+/// summation order of the seasonal terms, so SSEs and fitted states are
+/// bit-identical to it.
+struct EsRecursion<'a> {
     y: &'a [f64],
     use_trend: bool,
     periods: &'a [usize],
     start: &'a EsStart,
-    points: Vec<EsPoint>,
-    /// Seasonal smoothing constants, `periods.len()` per point.
+    point: EsPoint,
+    /// Seasonal smoothing constants, one per period.
     gammas: Vec<f64>,
-    /// Seasonal cycles, `start.seasonals.len()` per point, each point's
-    /// periods in order.
+    /// Seasonal cycles of every period, concatenated in period order.
     seasonals: Vec<f64>,
-    /// Start of each period's cycle inside a point's seasonal block.
+    /// Start of each period's cycle inside `seasonals`.
     offsets: Vec<usize>,
-    /// Each period's current slot inside a point's seasonal block.
+    /// Each period's current slot inside `seasonals`.
     slots: Vec<usize>,
-    /// The seasonal terms of the point being advanced, one per period.
+    /// The current step's seasonal terms, one per period.
     cur: Vec<f64>,
 }
 
-impl<'a> EsBatch<'a> {
+impl<'a> EsRecursion<'a> {
     fn new(y: &'a [f64], use_trend: bool, periods: &'a [usize], start: &'a EsStart) -> Self {
-        let offsets = periods
+        let offsets: Vec<usize> = periods
             .iter()
             .scan(0usize, |acc, &m| {
                 let off = *acc;
@@ -263,105 +256,81 @@ impl<'a> EsBatch<'a> {
             use_trend,
             periods,
             start,
-            points: Vec::new(),
-            gammas: Vec::new(),
-            seasonals: Vec::new(),
+            point: EsPoint::default(),
+            gammas: vec![0.0; periods.len()],
+            seasonals: start.seasonals.clone(),
+            slots: offsets.clone(),
             offsets,
-            slots: Vec::with_capacity(periods.len()),
             cur: vec![0.0; periods.len()],
         }
     }
 
-    /// Reset the batch to the start state at the given raw (pre-sigmoid)
-    /// optimizer points. A missing coordinate reads as 0.0 (sigmoid 0.5),
+    /// Reset the scratch to the start state at the given raw (pre-sigmoid)
+    /// optimizer point. A missing coordinate reads as 0.0 (sigmoid 0.5),
     /// which keeps the lookup total; the optimizer always passes full
     /// vectors.
-    fn load<P: AsRef<[f64]>>(&mut self, points: &[P]) {
-        let raw_at = |raw: &[f64], i: usize| raw.get(i).copied().unwrap_or(0.0);
-        self.points.clear();
-        self.gammas.clear();
-        self.seasonals.clear();
-        for raw in points {
-            let raw = raw.as_ref();
-            self.points.push(EsPoint {
-                alpha: sigmoid(raw_at(raw, 0)),
-                beta: if self.use_trend {
-                    sigmoid(raw_at(raw, 1))
-                } else {
-                    0.0
-                },
-                level: self.start.level,
-                trend: self.start.trend,
-                sse: 0.0,
-                finite: true,
-            });
-            self.gammas
-                .extend((0..self.periods.len()).map(|i| sigmoid(raw_at(raw, 2 + i)) * 0.5));
-            self.seasonals.extend_from_slice(&self.start.seasonals);
+    fn load(&mut self, raw: &[f64]) {
+        let raw_at = |i: usize| raw.get(i).copied().unwrap_or(0.0);
+        self.point = EsPoint {
+            alpha: sigmoid(raw_at(0)),
+            beta: if self.use_trend {
+                sigmoid(raw_at(1))
+            } else {
+                0.0
+            },
+            level: self.start.level,
+            trend: self.start.trend,
+            sse: 0.0,
+        };
+        for (i, g) in self.gammas.iter_mut().enumerate() {
+            *g = sigmoid(raw_at(2 + i)) * 0.5;
         }
-    }
-
-    /// Advance every loaded point through the whole series. With
-    /// `residuals`, the counted one-step errors of the batch's points are
-    /// appended in step order (the fitted-state pass loads one point).
-    fn run(&mut self, mut residuals: Option<&mut Vec<f64>>) {
-        let stride = self.start.seasonals.len();
-        let n_periods = self.periods.len();
+        self.seasonals.clear();
+        self.seasonals.extend_from_slice(&self.start.seasonals);
         self.slots.clear();
         self.slots.extend_from_slice(&self.offsets);
+    }
+
+    /// Run the loaded point through the whole series; `false` at the first
+    /// non-finite one-step error. With `residuals`, the counted one-step
+    /// errors are appended in step order.
+    fn run(&mut self, mut residuals: Option<&mut Vec<f64>>) -> bool {
+        let p = &mut self.point;
         for (t, &x) in self.y.iter().enumerate() {
-            let counted = t >= self.start.warmup;
-            for (i, p) in self.points.iter_mut().enumerate() {
-                if !p.finite {
-                    continue;
+            for (c, &slot) in self.cur.iter_mut().zip(&self.slots) {
+                *c = self.seasonals.get(slot).copied().unwrap_or_default();
+            }
+            let season_sum: f64 = self.cur.iter().sum();
+            let fitted = p.level + p.trend + season_sum;
+            let err = x - fitted;
+            if !err.is_finite() {
+                return false;
+            }
+            if t >= self.start.warmup {
+                p.sse += err * err;
+                if let Some(r) = residuals.as_deref_mut() {
+                    r.push(err);
                 }
-                let block = i * stride;
-                for (c, &slot) in self.cur.iter_mut().zip(&self.slots) {
-                    *c = self
-                        .seasonals
-                        .get(block + slot)
-                        .copied()
-                        .unwrap_or_default();
-                }
-                let season_sum: f64 = self.cur.iter().sum();
-                let fitted = p.level + p.trend + season_sum;
-                let err = x - fitted;
-                if !err.is_finite() {
-                    p.finite = false;
-                    continue;
-                }
-                if counted {
-                    p.sse += err * err;
-                    if let Some(r) = residuals.as_deref_mut() {
-                        r.push(err);
-                    }
-                }
-                let prev_level = p.level;
-                p.level = p.alpha * (x - season_sum) + (1.0 - p.alpha) * (p.level + p.trend);
-                if self.use_trend {
-                    p.trend = p.beta * (p.level - prev_level) + (1.0 - p.beta) * p.trend;
-                }
-                // period j's update sees the already-updated terms of the
-                // periods before it, exactly as the per-period loop did
-                for j in 0..n_periods {
-                    let other: f64 = self
-                        .cur
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, _)| k != j)
-                        .map(|(_, &v)| v)
-                        .sum();
-                    let g = self
-                        .gammas
-                        .get(i * n_periods + j)
-                        .copied()
-                        .unwrap_or_default();
-                    if let Some(c) = self.cur.get_mut(j) {
-                        *c = g * (x - p.level - other) + (1.0 - g) * *c;
-                        let slot = self.slots.get(j).map_or(usize::MAX, |&s| block + s);
-                        if let Some(s) = self.seasonals.get_mut(slot) {
-                            *s = *c;
-                        }
+            }
+            let prev_level = p.level;
+            p.level = p.alpha * (x - season_sum) + (1.0 - p.alpha) * (p.level + p.trend);
+            if self.use_trend {
+                p.trend = p.beta * (p.level - prev_level) + (1.0 - p.beta) * p.trend;
+            }
+            // period j's update sees the already-updated terms of the
+            // periods before it, exactly as the reference recursion does
+            for (j, (&g, &slot)) in self.gammas.iter().zip(&self.slots).enumerate() {
+                let other: f64 = self
+                    .cur
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != j)
+                    .map(|(_, &v)| v)
+                    .sum();
+                if let Some(c) = self.cur.get_mut(j) {
+                    *c = g * (x - p.level - other) + (1.0 - g) * *c;
+                    if let Some(s) = self.seasonals.get_mut(slot) {
+                        *s = *c;
                     }
                 }
             }
@@ -372,26 +341,28 @@ impl<'a> EsBatch<'a> {
                 }
             }
         }
+        true
     }
 
-    /// The batch objective: each point's SSE, `+inf` for a point whose
-    /// recursion went non-finite.
-    fn sse(&mut self, points: &[Vec<f64>]) -> Vec<f64> {
-        self.load(points);
-        self.run(None);
-        self.points
-            .iter()
-            .map(|p| if p.finite { p.sse } else { f64::INFINITY })
-            .collect()
+    /// The search objective: the SSE at one raw optimizer point, `+inf`
+    /// when its recursion goes non-finite.
+    fn sse(&mut self, raw: &[f64]) -> f64 {
+        self.load(raw);
+        if self.run(None) {
+            self.point.sse
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// The fitted state at one raw optimizer point, residuals included;
     /// `None` when its recursion goes non-finite.
     fn fitted_state(&mut self, raw: &[f64]) -> Option<EsState> {
-        self.load(&[raw]);
+        self.load(raw);
         let mut residuals = Vec::with_capacity(self.y.len());
-        self.run(Some(&mut residuals));
-        let p = self.points.first().copied().filter(|p| p.finite)?;
+        if !self.run(Some(&mut residuals)) {
+            return None;
+        }
         let seasonals = self
             .offsets
             .iter()
@@ -403,6 +374,7 @@ impl<'a> EsBatch<'a> {
                     .to_vec()
             })
             .collect();
+        let p = self.point;
         Some(EsState {
             level: p.level,
             trend: p.trend,
@@ -717,15 +689,13 @@ impl Bats {
         ))
     }
 
-    /// Fit the exponential-smoothing core with batched Nelder–Mead over
-    /// smoothing constants (sigmoid-constrained). Each optimizer batch — the
-    /// three speculative candidates of an iteration, the shrunken simplex or
-    /// the initial simplex — is advanced by one [`EsBatch`] pass over the
-    /// series. The second element of the result reports whether the search
-    /// was cut short by the deadline; the third is the raw optimizer vector
-    /// at the optimum, reusable as a warm start via `seed`. A `seed` whose
-    /// length does not match the parameter dimension is ignored (cold
-    /// start).
+    /// Fit the exponential-smoothing core with Nelder–Mead over smoothing
+    /// constants (sigmoid-constrained), each evaluated point run through
+    /// the search's one [`EsRecursion`]. The second element of the result
+    /// reports whether the search was cut short by the deadline; the third
+    /// is the raw optimizer vector at the optimum, reusable as a warm start
+    /// via `seed`. A `seed` whose length does not match the parameter
+    /// dimension is ignored (cold start).
     fn fit_es(
         y: &[f64],
         use_trend: bool,
@@ -740,11 +710,11 @@ impl Bats {
             deadline,
             ..Default::default()
         };
-        // one search owns one scratch batch, so concurrent searches share
-        // nothing but the read-only start state
+        // one search owns one scratch recursion, so concurrent searches
+        // share nothing but the read-only start state
         let search = |init: &[f64]| {
-            let mut batch = EsBatch::new(y, use_trend, periods, &start);
-            nelder_mead_batched(|points| batch.sse(points), init, &opts)
+            let mut rec = EsRecursion::new(y, use_trend, periods, &start);
+            nelder_mead(|raw| rec.sse(raw), init, &opts)
         };
         let cold_init = vec![-1.0; dim];
         // a seeded search restarts from the previous optimum AND from the
@@ -778,10 +748,10 @@ impl Bats {
                 (r, t)
             }
         };
-        let mut batch = EsBatch::new(y, use_trend, periods, &start);
-        let st = batch.fitted_state(&raw)?;
+        let st = EsRecursion::new(y, use_trend, periods, &start).fitted_state(&raw)?;
         Some((st, timed_out, raw))
     }
+
     /// Forecast `horizon` values on the original scale.
     pub fn forecast(&self, horizon: usize) -> Vec<f64> {
         let arma_fore = self.arma.as_ref().map(|a| a.forecast(horizon));
@@ -1003,8 +973,8 @@ mod tests {
         assert!(m.periods.is_empty());
     }
 
-    /// The per-point smoothing recursion the lockstep [`EsBatch`] replaced,
-    /// kept verbatim as the reference it must match bit for bit.
+    /// The original smoothing recursion, kept verbatim as the reference
+    /// [`EsRecursion`] must match bit for bit.
     fn reference_run_es(
         y: &[f64],
         use_trend: bool,
@@ -1112,7 +1082,7 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_objective_matches_per_point_recursion_bitwise() {
+    fn one_point_objective_matches_reference_recursion_bitwise() {
         let y: Vec<f64> = (0..160)
             .map(|i| {
                 let t = i as f64;
@@ -1132,37 +1102,33 @@ mod tests {
         for periods in [vec![], vec![6], vec![6, 14, 5, 9]] {
             for use_trend in [false, true] {
                 let start = EsStart::new(&y, use_trend, &periods).unwrap();
-                // one batch reused across sizes: stale scratch must not leak
-                let mut batch = EsBatch::new(&y, use_trend, &periods, &start);
+                // one scratch reused across every point: a stale state
+                // must not leak from one call into the next
+                let mut rec = EsRecursion::new(&y, use_trend, &periods, &start);
                 let dim = 2 + periods.len();
-                for k in [1usize, 3, 7] {
-                    let mut points: Vec<Vec<f64>> =
-                        (0..k).map(|_| (0..dim).map(|_| next()).collect()).collect();
-                    // a NaN coordinate sends that point's recursion
-                    // non-finite at the first step
-                    let bad = k / 2;
-                    points[bad][0] = f64::NAN;
-                    let got = batch.sse(&points);
-                    assert_eq!(got.len(), k);
-                    for (i, (p, g)) in points.iter().zip(&got).enumerate() {
-                        let want = reference_at(&y, use_trend, &periods, p);
-                        if i == bad {
-                            assert!(want.is_none());
-                        }
-                        let want_sse = want.as_ref().map_or(f64::INFINITY, |st| st.sse);
-                        assert_eq!(
-                            g.to_bits(),
-                            want_sse.to_bits(),
-                            "periods {periods:?} trend {use_trend} K={k} point {i}"
-                        );
-                        // the fitted-state pass runs the same recursion
-                        let fitted = batch.fitted_state(p);
-                        assert_eq!(
-                            fitted.as_ref().map(state_bits),
-                            want.as_ref().map(state_bits),
-                            "fitted state: periods {periods:?} trend {use_trend} point {i}"
-                        );
-                    }
+                let mut points: Vec<Vec<f64>> =
+                    (0..9).map(|_| (0..dim).map(|_| next()).collect()).collect();
+                // a NaN coordinate sends that point's recursion non-finite
+                // a step in, after it has dirtied the scratch; it sits
+                // midway through the sequence, so the points after it
+                // prove the scratch resets
+                let bad = points.len() / 2;
+                points[bad][0] = f64::NAN;
+                for (i, p) in points.iter().enumerate() {
+                    let want = reference_at(&y, use_trend, &periods, p);
+                    assert_eq!(want.is_none(), i == bad, "point {i}");
+                    let want_sse = want.as_ref().map_or(f64::INFINITY, |st| st.sse);
+                    assert_eq!(
+                        rec.sse(p).to_bits(),
+                        want_sse.to_bits(),
+                        "periods {periods:?} trend {use_trend} point {i}"
+                    );
+                    // the fitted-state pass runs the same recursion
+                    assert_eq!(
+                        rec.fitted_state(p).as_ref().map(state_bits),
+                        want.as_ref().map(state_bits),
+                        "fitted state: periods {periods:?} trend {use_trend} point {i}"
+                    );
                 }
             }
         }

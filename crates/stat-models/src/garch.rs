@@ -84,7 +84,7 @@ impl Garch {
             max_evals: 3000,
             ..Default::default()
         };
-        let (raw, _) = nelder_mead(nll, &[0.0, 0.0, 2.0], &opts);
+        let (raw, _, _) = nelder_mead(nll, &[0.0, 0.0, 2.0], &opts);
         let [r0, r1, r2] = raw.as_slice() else {
             return Err(FitError::new("GARCH optimizer returned wrong arity"));
         };

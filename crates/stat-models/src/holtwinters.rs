@@ -9,7 +9,7 @@
 //! keeping them in (0, 1).
 //!
 //! Two warm-start paths support T-Daub's incremental layer: [`HoltWinters::
-//! fit_seeded`] restarts the constant search from a previous fit's
+//! fit_seeded_with_deadline`] restarts the constant search from a previous fit's
 //! unconstrained optimum, and [`HoltWinters::extend`] re-runs the smoothing
 //! recursion only over appended rows from the carried `(level, trend,
 //! seasonals)` state — bit-identical to recursing over the concatenation at
@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use autoai_linalg::{nelder_mead_budgeted, NelderMeadOptions};
+use autoai_linalg::{nelder_mead, NelderMeadOptions};
 
 use crate::FitError;
 
@@ -199,16 +199,7 @@ impl HoltWinters {
     /// result is a fully re-optimized fit of `series` (not a state
     /// carry-over), so fit quality matches a cold [`HoltWinters::fit`];
     /// only the optimizer's path to the optimum is shortened. A seed with a
-    /// different seasonal structure falls back to the cold start.
-    pub fn fit_seeded(
-        series: &[f64],
-        seasonality: Seasonality,
-        seed: &HoltWinters,
-    ) -> Result<Self, FitError> {
-        Self::fit_seeded_with_deadline(series, seasonality, seed, None)
-    }
-
-    /// [`HoltWinters::fit_seeded`] under a cooperative fit deadline; see
+    /// different seasonal structure falls back to the cold start. See
     /// [`HoltWinters::fit_with_deadline`] for the timeout semantics.
     pub fn fit_seeded_with_deadline(
         series: &[f64],
@@ -263,7 +254,7 @@ impl HoltWinters {
             deadline,
             ..Default::default()
         };
-        let (raw, _, timed_out) = nelder_mead_budgeted(objective, &init, &opts);
+        let (raw, _, timed_out) = nelder_mead(objective, &init, &opts);
         let raw: [f64; 3] = raw.try_into().unwrap_or(init);
         let [alpha, beta, gamma] = [sigmoid(raw[0]), sigmoid(raw[1]), sigmoid(raw[2])]; // tscheck:allow(strict-index): fixed-size array destructured with literal in-bounds indices
         let (level, trend, seasonals, sse) = Self::run(series, seasonality, alpha, beta, gamma)
@@ -308,7 +299,7 @@ impl HoltWinters {
     /// sharing [`HwState::step`] with full fits, the resulting state is
     /// bit-identical to re-running the recursion over the concatenated
     /// series at the same constants; a full `fit` would additionally
-    /// re-optimize the constants, which [`HoltWinters::fit_seeded`] covers.
+    /// re-optimize the constants, which [`HoltWinters::fit_seeded_with_deadline`] covers.
     ///
     /// On error the model's state is unspecified — callers should discard
     /// the model and fall back to a full fit.
@@ -559,7 +550,9 @@ mod tests {
             .map(|i| 20.0 + 0.1 * i as f64 + pattern[i % 4])
             .collect();
         let seed = HoltWinters::fit(&series[..70], Seasonality::Additive(4)).unwrap();
-        let warm = HoltWinters::fit_seeded(&series, Seasonality::Additive(4), &seed).unwrap();
+        let warm =
+            HoltWinters::fit_seeded_with_deadline(&series, Seasonality::Additive(4), &seed, None)
+                .unwrap();
         let cold = HoltWinters::fit(&series, Seasonality::Additive(4)).unwrap();
         assert!(warm.sse.is_finite() && cold.sse.is_finite());
         // both start from near-optimal regions; the warm fit must not lose
@@ -596,7 +589,9 @@ mod tests {
     fn seeded_fit_with_mismatched_seasonality_falls_back_to_cold() {
         let series: Vec<f64> = (0..60).map(|i| 10.0 + 1.5 * i as f64).collect();
         let seed = HoltWinters::fit(&series[..40], Seasonality::None).unwrap();
-        let warm = HoltWinters::fit_seeded(&series, Seasonality::Additive(4), &seed).unwrap();
+        let warm =
+            HoltWinters::fit_seeded_with_deadline(&series, Seasonality::Additive(4), &seed, None)
+                .unwrap();
         assert_eq!(warm.seasonality, Seasonality::Additive(4));
     }
 }

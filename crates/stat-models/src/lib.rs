@@ -26,8 +26,7 @@ pub mod incremental_ar;
 pub mod simple;
 
 pub use arima::{
-    auto_arima, auto_arima_seeded, auto_arima_seeded_with_deadline, auto_arima_with_deadline,
-    Arima, ArimaSpec,
+    auto_arima, auto_arima_seeded_with_deadline, auto_arima_with_deadline, Arima, ArimaSpec,
 };
 pub use bats::{Bats, BatsConfig};
 pub use garch::Garch;

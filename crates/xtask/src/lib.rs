@@ -189,7 +189,8 @@ pub struct Config {
     pub strict: bool,
     /// Repo-relative path prefixes held to the strict rules: the T-Daub
     /// execution engine, the parallel work queue, the windowing kernels,
-    /// the stat-model fit recursions, the registry/cache layers, and the
+    /// the Nelder–Mead core every stat-model fit runs through, the
+    /// stat-model fit recursions, the registry/cache layers, and the
     /// long-lived forecasting service front end, where an out-of-bounds
     /// index, a re-raised worker panic, or an overflowing capacity
     /// computation would take down a whole AutoML run.
@@ -246,6 +247,7 @@ impl Default for Config {
             strict_paths: vec![
                 "crates/tdaub/src/".to_string(),
                 "crates/linalg/src/par.rs".to_string(),
+                "crates/linalg/src/optimize.rs".to_string(),
                 "crates/transforms/src/window.rs".to_string(),
                 "crates/stat-models/src/holtwinters.rs".to_string(),
                 "crates/stat-models/src/arima.rs".to_string(),
@@ -1534,6 +1536,7 @@ mod tests {
             "crates/stat-models/src/simple.rs",
             "crates/stat-models/src/garch.rs",
             "crates/stat-models/src/incremental_ar.rs",
+            "crates/linalg/src/optimize.rs",
             "crates/pipelines/src/registry.rs",
             "crates/pipelines/src/interval.rs",
             "crates/pipelines/src/weighted_ensemble.rs",

@@ -10,7 +10,7 @@ cargo fmt --all --check
 echo "==> tscheck static analysis (token analyzer: panic/nan/index + lock discipline + determinism)"
 cargo run -q --offline -p xtask -- check --timing
 
-echo "==> tscheck strict mode (hot paths: tdaub executor + ensemble selection, linalg work queue, window kernels, stat-model fit recursions, registries, transform cache, interval/conformal layer, probabilistic metrics, chaos layer)"
+echo "==> tscheck strict mode (hot paths: tdaub executor + ensemble selection, linalg work queue, window kernels, Nelder-Mead core, stat-model fit recursions, registries, transform cache, interval/conformal layer, probabilistic metrics, chaos layer)"
 cargo run -q --offline -p xtask -- check --strict
 
 echo "==> tscheck wall-time budget (full strict pass must stay under ${TSCHECK_BUDGET_MS:=5000} ms)"
@@ -44,7 +44,7 @@ cargo test -q --offline --release --test online_drift
 echo "==> tdaub bench smoke (cache effectiveness, warm starts, fits avoided, ranking parity, warm re-selection <= 0.6x cold)"
 cargo bench -q --offline -p autoai-bench --bench tdaub -- --smoke
 
-echo "==> kernels bench smoke (vectorized kernels >= 2x naive, batched Nelder-Mead bitwise parity)"
+echo "==> kernels bench smoke (vectorized kernels >= 2x naive, matched against naive references)"
 cargo bench -q --offline -p autoai-bench --bench kernels -- --smoke
 
 echo "check.sh: all gates passed"
