@@ -27,6 +27,7 @@
 //! suite in `tests/online_drift.rs` pins down. No wall clock, no RNG, no
 //! hash iteration — just f64 arithmetic in call order.
 
+use autoai_linalg::mean;
 use autoai_tsdata::QualityIssue;
 
 /// SMAPE is bounded to `[0, 200]`; losses are clamped into this range so a
@@ -151,11 +152,6 @@ impl DriftMonitor {
         }
     }
 
-    /// The tuning this monitor runs with.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
-    }
-
     /// Record one observed step: the winner's one-step SMAPE and the
     /// persistence baseline's one-step SMAPE for the same row. Returns the
     /// verdict after the update. A non-finite baseline loss discards the
@@ -224,15 +220,7 @@ impl DriftMonitor {
     /// `rolling_mean(winner) / rolling_mean(baseline)`, floored so the
     /// denominator can never be zero. `0.0` before any step is recorded.
     pub fn loss_ratio(&self) -> f64 {
-        if self.winner_window.is_empty() {
-            return 0.0;
-        }
         mean(&self.winner_window) / mean(&self.baseline_window).max(RATIO_FLOOR)
-    }
-
-    /// Steps recorded since the last reset.
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 
     /// Forget the charged evidence after a completed re-selection: the new
@@ -257,16 +245,8 @@ impl DriftMonitor {
             resets: self.resets,
             excess: self.excess,
             self_excess: self.self_excess,
-            winner_mean: if self.winner_window.is_empty() {
-                0.0
-            } else {
-                mean(&self.winner_window)
-            },
-            baseline_mean: if self.baseline_window.is_empty() {
-                0.0
-            } else {
-                mean(&self.baseline_window)
-            },
+            winner_mean: mean(&self.winner_window),
+            baseline_mean: mean(&self.baseline_window),
             verdict: self.verdict(),
         }
     }
@@ -297,14 +277,6 @@ fn push_window(window: &mut Vec<f64>, value: f64, cap: usize) {
         window.remove(0);
     }
     window.push(value);
-}
-
-/// Mean of a non-empty slice (callers guard emptiness).
-fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
 }
 
 #[cfg(test)]
@@ -399,11 +371,11 @@ mod tests {
         m.observe_step(f64::NAN, 2.0);
         m.observe_step(2.0, f64::NAN);
         m.observe_step(f64::INFINITY, f64::NEG_INFINITY);
-        for b in m.state_bits() {
+        // the first three slots are the u64 counters; every later slot is
+        // an f64 and must hold neither NaN nor ±inf
+        for b in m.state_bits().into_iter().skip(3) {
             let v = f64::from_bits(b);
-            // counters reinterpret as tiny subnormals; the check is that no
-            // stored f64 slot holds NaN/inf bit patterns
-            assert!(!v.is_nan() || b <= 3, "state bits hold {v}");
+            assert!(v.is_finite(), "state bits hold {v}");
         }
         assert!(m.snapshot().excess.is_finite());
     }
@@ -421,6 +393,8 @@ mod tests {
         assert_eq!(snap.observations, 0);
         assert_eq!(snap.resets, 1);
         assert_eq!(snap.excess.to_bits(), 0.0f64.to_bits());
+        assert_eq!(snap.winner_mean.to_bits(), 0.0f64.to_bits());
+        assert_eq!(snap.baseline_mean.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

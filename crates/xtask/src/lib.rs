@@ -219,8 +219,8 @@ pub struct Config {
 
 impl Default for Config {
     /// All workspace crates except `xtask` itself are in scope for the
-    /// panic/NaN/lock/determinism rules (since PR 6 this includes the leaf
-    /// crates `bench`, `sota`, `datasets`, `anomaly` — previously exempt).
+    /// panic/NaN/lock/determinism rules, the leaf crates `bench`, `sota` and
+    /// `datasets` included.
     fn default() -> Self {
         Config {
             scoped_crates: [
@@ -238,7 +238,6 @@ impl Default for Config {
                 "bench",
                 "sota",
                 "datasets",
-                "anomaly",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -1318,7 +1317,6 @@ mod tests {
             "crates/bench/src/fake.rs",
             "crates/sota/src/fake.rs",
             "crates/datasets/src/fake.rs",
-            "crates/anomaly/src/fake.rs",
         ] {
             let v = check_source(file, "fn f() { x.unwrap(); }\n", &cfg());
             assert_eq!(v.len(), 1, "{file} should be scoped");

@@ -4,7 +4,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub use autoai_anomaly as anomaly;
 pub use autoai_chaos as chaos;
 pub use autoai_datasets as datasets;
 pub use autoai_linalg as linalg;

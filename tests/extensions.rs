@@ -1,10 +1,9 @@
 //! Integration tests for the extension surface: the extended pipeline
-//! registry (§4 "about 80 different pipelines"), prediction intervals, the
-//! anomaly-detection crate, and GARCH volatility.
+//! registry (§4 "about 80 different pipelines"), prediction intervals and
+//! GARCH volatility.
 
-use autoai_ts_repro::anomaly::{IqrDetector, ResidualDetector, RollingZScoreDetector};
 use autoai_ts_repro::core_ts::{AutoAITS, AutoAITSConfig};
-use autoai_ts_repro::pipelines::{extended_pipelines, Mt2rForecaster, PipelineContext};
+use autoai_ts_repro::pipelines::{extended_pipelines, PipelineContext};
 use autoai_ts_repro::stat_models::Garch;
 use autoai_ts_repro::tdaub::{run_tdaub, TDaubConfig};
 use autoai_ts_repro::tsdata::TimeSeriesFrame;
@@ -66,39 +65,6 @@ fn prediction_intervals_cover_a_noisy_truth() {
     assert!(
         covered >= 9,
         "interval covered only {covered}/12 truth points"
-    );
-}
-
-#[test]
-fn anomaly_detectors_compose_with_catalog_data() {
-    // inject incidents into a catalog stand-in and recover them
-    let entry = autoai_ts_repro::datasets::univariate_catalog()
-        .into_iter()
-        .find(|e| e.name == "elecdaily")
-        .unwrap();
-    let frame = entry.generate(55);
-    let mut values = frame.series(0).to_vec();
-    let n = values.len();
-    let scale = autoai_ts_repro::linalg::std_dev(&values);
-    values[n / 2] += 15.0 * scale;
-
-    let z_hits = RollingZScoreDetector::new(30, 5.0).detect(&values);
-    assert!(
-        z_hits.iter().any(|a| a.index == n / 2),
-        "rolling z missed the spike"
-    );
-
-    let iqr_hits = IqrDetector::new(4.0).detect(&values);
-    assert!(
-        iqr_hits.iter().any(|a| a.index == n / 2),
-        "IQR missed the spike"
-    );
-
-    let det = ResidualDetector::new(Box::new(Mt2rForecaster::new(12, 12)), 6.0);
-    let model_hits = det.detect(&values);
-    assert!(
-        model_hits.iter().any(|a| a.index == n / 2),
-        "residual detector missed the spike"
     );
 }
 
