@@ -187,6 +187,9 @@ fn time<F: FnMut()>(name: &str, iters: usize, mut f: F) {
     );
 }
 
+/// Runs per uncached/cached timing; [`measure`] keeps the best.
+const SPEEDUP_ITERS: usize = 3;
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n, iters) = if smoke { (300, 1) } else { (720, 3) };
@@ -197,10 +200,13 @@ fn main() {
     // smoke runs in parallel for speed — cache stats and rankings are
     // deterministic across execution modes, and smoke verifies exactly that;
     // the full benchmark stays serial so wall times compare like-for-like
-    let (uncached_ms, uncached) = measure(iters, || {
+    // the smoke gates the ratio of these two timings, so both are best-of-3
+    // in every mode: with one run each, the same code read 1.72x in one run
+    // and 2.04x in the next on a 2-core machine
+    let (uncached_ms, uncached) = measure(SPEEDUP_ITERS, || {
         run_tdaub(pool(), &data, &config(false, smoke)).expect("uncached run")
     });
-    let (cached_ms, cached) = measure(iters, || {
+    let (cached_ms, cached) = measure(SPEEDUP_ITERS, || {
         run_tdaub(pool(), &data, &config(true, smoke)).expect("cached run")
     });
     let stats = cached.execution.cache;

@@ -1,5 +1,9 @@
 //! Pipelines wrapping the statistical models (one model per series) plus
 //! the fast linear MT2RForecaster and the neural pipeline.
+//!
+//! Every per-series statistical pipeline is one [`PerSeries`] over the
+//! model it fits to each series; the public pipeline names
+//! ([`ArimaPipeline`], [`BatsPipeline`], …) are aliases of it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,6 +21,8 @@ use autoai_tsdata::{FrameFingerprint, TimeSeriesFrame};
 use crate::caching::cached_flatten;
 use crate::interval::{IntervalForecast, IntervalSource};
 use crate::traits::{Forecaster, PipelineError};
+
+use series::{Growth, SeriesModel};
 
 fn forecast_frame(names: &[String], forecasts: Vec<Vec<f64>>) -> TimeSeriesFrame {
     let mut f = TimeSeriesFrame::from_columns(forecasts);
@@ -146,323 +152,104 @@ fn native_gaussian_interval(
     )
 }
 
-/// The Zero Model as a pipeline: repeat each series' last value (§4).
-#[derive(Default)]
-pub struct ZeroModelPipeline {
-    models: Vec<ZeroModel>,
-    names: Vec<String>,
-    fitted_rows: usize,
-}
+/// The contract between [`PerSeries`] and the model it fits to each series.
+/// `pub` inside a private module: public items can name the trait in their
+/// bounds, while code outside the crate cannot reach it.
+mod series {
+    use std::time::Instant;
 
-impl ZeroModelPipeline {
-    /// New unfitted pipeline.
-    pub fn new() -> Self {
-        Self::default()
+    use autoai_stat_models::FitError;
+
+    /// How a warm-start frame grew from the previously fitted view, as
+    /// proven by buffer fingerprints.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Growth {
+        /// The fitted view is a strict prefix: rows were appended at the end
+        /// (forward growth).
+        Appended,
+        /// The fitted view is a strict suffix: rows were added at the front
+        /// (reverse growth, T-Daub's allocations).
+        Prepended,
     }
-}
 
-impl Forecaster for ZeroModelPipeline {
-    fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        self.models.clear();
-        self.fitted_rows = 0;
-        self.names = frame.names().to_vec();
-        for c in 0..frame.n_series() {
-            let mut m = ZeroModel::new();
-            m.fit(frame.series(c))
-                .map_err(|e| PipelineError::Fit(e.message))?;
-            self.models.push(m);
+    /// One statistical model fitted to one series.
+    pub trait SeriesModel: Clone + Send + Sync + 'static {
+        /// Hyperparameters shared by every series' model.
+        type Spec: Clone + Send + Sync + 'static;
+
+        /// Whether the pipeline draws chaos faults. Only the Zero Model opts
+        /// out: it is the degradation ladder's fault-free last rung.
+        const GATED: bool = true;
+
+        /// Display name, also the chaos key.
+        fn name(spec: &Self::Spec) -> &'static str;
+
+        /// Cold fit on one series. `deadline` is shared by the whole
+        /// pipeline fit, so the fit honors its budget, not each series.
+        fn fit(
+            series: &[f64],
+            spec: &Self::Spec,
+            deadline: Option<Instant>,
+        ) -> Result<Self, FitError>;
+
+        /// Whether a warm refit from this model, fitted on `previous_rows`
+        /// rows, may be tried after `growth` (`None`: lineage unproven).
+        /// Checked before the chaos gate. Default: no warm start.
+        fn warm_start(&self, _growth: Option<Growth>, _previous_rows: usize) -> bool {
+            false
         }
-        if self.models.is_empty() {
-            return Err(PipelineError::InvalidInput("empty frame".into()));
+
+        /// Warm refit on the grown `series`, seeded by this model.
+        /// `Ok(None)` refuses: the executor falls back to a cold fit.
+        fn refit(
+            &self,
+            _series: &[f64],
+            _spec: &Self::Spec,
+            _growth: Option<Growth>,
+            _previous_rows: usize,
+            _deadline: Option<Instant>,
+        ) -> Result<Option<Self>, FitError> {
+            Ok(None)
         }
-        self.fitted_rows = frame.len();
-        Ok(())
-    }
 
-    fn fit_incremental(
-        &mut self,
-        frame: &TimeSeriesFrame,
-        previous_rows: usize,
-    ) -> Result<bool, PipelineError> {
-        // the fitted state is each series' last value; growing the frame at
-        // the front (reverse allocations) leaves it untouched, so the
-        // previous fit is already bit-identical to a full refit
-        if self.fitted_rows == 0
-            || previous_rows != self.fitted_rows
-            || frame.len() < previous_rows
-            || frame.n_series() != self.models.len()
-        {
-            return Ok(false);
-        }
-        self.fitted_rows = frame.len();
-        Ok(true)
-    }
+        /// Point forecast for the next `horizon` steps. The impls below
+        /// call the model's inherent method of the same name, which method
+        /// resolution picks over the trait's.
+        fn forecast(&self, horizon: usize) -> Vec<f64>;
 
-    fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        Ok(forecast_frame(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-        ))
-    }
-
-    fn predict_interval(
-        &self,
-        horizon: usize,
-        levels: &[f64],
-    ) -> Result<IntervalForecast, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        // no chaos gate: Zero-Model random-walk bands are the interval
-        // degradation ladder's always-finite floor
-        native_gaussian_interval(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-            self.models
-                .iter()
-                .map(|m| m.forecast_variance(horizon))
-                .collect(),
-            false,
-            levels,
-        )
-    }
-
-    fn name(&self) -> String {
-        "ZeroModel".into()
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        Box::new(Self::new())
-    }
-}
-
-/// Seasonal naive as a pipeline: repeat each series' trailing season.
-pub struct SeasonalNaivePipeline {
-    period: usize,
-    models: Vec<SeasonalNaive>,
-    names: Vec<String>,
-    fitted_rows: usize,
-}
-
-impl SeasonalNaivePipeline {
-    /// New unfitted pipeline with seasonal period `m` (clamped to ≥ 1;
-    /// period 1 degenerates to the Zero Model).
-    pub fn new(m: usize) -> Self {
-        Self {
-            period: m.max(1),
-            models: Vec::new(),
-            names: Vec::new(),
-            fitted_rows: 0,
+        /// Variance of each step's forecast error; `None` when the model has
+        /// no native bands (the caller conformal-wraps instead).
+        fn forecast_variance(&self, _horizon: usize) -> Option<Vec<f64>> {
+            None
         }
     }
 }
 
-impl Forecaster for SeasonalNaivePipeline {
-    fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        chaos_fit_gate("SeasonalNaive", frame.len())?;
-        self.models.clear();
-        self.fitted_rows = 0;
-        self.names = frame.names().to_vec();
-        for c in 0..frame.n_series() {
-            let mut m = SeasonalNaive::new(self.period);
-            m.fit(frame.series(c))
-                .map_err(|e| PipelineError::Fit(e.message))?;
-            self.models.push(m);
-        }
-        if self.models.is_empty() {
-            return Err(PipelineError::InvalidInput("empty frame".into()));
-        }
-        self.fitted_rows = frame.len();
-        Ok(())
-    }
-
-    fn fit_incremental(
-        &mut self,
-        frame: &TimeSeriesFrame,
-        previous_rows: usize,
-    ) -> Result<bool, PipelineError> {
-        // the fitted state is the trailing season of each series; once the
-        // previous fit already covered a full period, growth at the front
-        // cannot change it. Shorter previous fits stored a truncated tail,
-        // so they must go through a full refit.
-        if self.fitted_rows == 0
-            || previous_rows != self.fitted_rows
-            || previous_rows < self.period
-            || frame.len() < previous_rows
-            || frame.n_series() != self.models.len()
-        {
-            return Ok(false);
-        }
-        chaos_fit_gate("SeasonalNaive", frame.len())?;
-        self.fitted_rows = frame.len();
-        Ok(true)
-    }
-
-    fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        if let Some(poisoned) = chaos_predict_gate("SeasonalNaive", horizon, self.models.len()) {
-            return Ok(poisoned);
-        }
-        Ok(forecast_frame(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-        ))
-    }
-
-    fn name(&self) -> String {
-        "SeasonalNaive".into()
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        Box::new(Self::new(self.period))
-    }
-}
-
-/// Autoregression per series via Yule–Walker, warm-startable across
-/// T-Daub's growing allocations: [`Forecaster::fit_incremental`] extends the
-/// underlying [`IncrementalAr`] moment sums in O(added · order) and stays
-/// bit-identical to a full refit (end-aligned blocked summation).
-pub struct ArPipeline {
-    /// AR order (number of lags).
-    pub order: usize,
-    models: Vec<IncrementalAr>,
-    names: Vec<String>,
-    fitted_rows: usize,
-}
-
-impl ArPipeline {
-    /// New unfitted AR pipeline with the given order (clamped to ≥ 1).
-    pub fn new(order: usize) -> Self {
-        Self {
-            order: order.max(1),
-            models: Vec::new(),
-            names: Vec::new(),
-            fitted_rows: 0,
-        }
-    }
-}
-
-impl Forecaster for ArPipeline {
-    fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        chaos_fit_gate("AR", frame.len())?;
-        self.models.clear();
-        self.fitted_rows = 0;
-        self.names = frame.names().to_vec();
-        for c in 0..frame.n_series() {
-            let mut m = IncrementalAr::new(self.order);
-            m.fit(frame.series(c))
-                .map_err(|e| PipelineError::Fit(e.message))?;
-            self.models.push(m);
-        }
-        if self.models.is_empty() {
-            return Err(PipelineError::InvalidInput("empty frame".into()));
-        }
-        self.fitted_rows = frame.len();
-        Ok(())
-    }
-
-    fn fit_incremental(
-        &mut self,
-        frame: &TimeSeriesFrame,
-        previous_rows: usize,
-    ) -> Result<bool, PipelineError> {
-        if self.fitted_rows == 0
-            || previous_rows != self.fitted_rows
-            || frame.len() < previous_rows
-            || frame.n_series() != self.models.len()
-        {
-            return Ok(false);
-        }
-        chaos_fit_gate("AR", frame.len())?;
-        for (c, m) in self.models.iter_mut().enumerate() {
-            match m.fit_extended(frame.series(c), previous_rows) {
-                Ok(true) => {}
-                // partially-updated models are fine: the executor reacts to
-                // `false` with a full `fit`, which resets every model
-                Ok(false) => return Ok(false),
-                Err(e) => return Err(PipelineError::Fit(e.message)),
-            }
-        }
-        self.fitted_rows = frame.len();
-        Ok(true)
-    }
-
-    fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        if let Some(poisoned) = chaos_predict_gate("AR", horizon, self.models.len()) {
-            return Ok(poisoned);
-        }
-        Ok(forecast_frame(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-        ))
-    }
-
-    fn predict_interval(
-        &self,
-        horizon: usize,
-        levels: &[f64],
-    ) -> Result<IntervalForecast, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        let poison = chaos_interval_gate("AR", horizon)?;
-        native_gaussian_interval(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-            self.models
-                .iter()
-                .map(|m| m.forecast_variance(horizon))
-                .collect(),
-            poison,
-            levels,
-        )
-    }
-
-    fn name(&self) -> String {
-        "AR".into()
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        Box::new(Self::new(self.order))
-    }
-}
-
-/// Automatic ARIMA per series (the `Arima` pipeline of Table 6).
+/// A statistical pipeline that fits one model `M` per series (§3: the
+/// model "performs all necessary tasks internally"). Every per-series
+/// pipeline of Table 6 and the extensions is this type over its model.
 ///
-/// Supports a tier-2 (rank-stable) [`Forecaster::fit_incremental`] warm
-/// start: when the new frame provably extends the previously fitted view
-/// (fingerprint-verified), the stepwise order search restarts at the
-/// previous winner's `(p, q)` and each refit seeds CSS Nelder–Mead from
-/// the previous coefficients instead of a cold initialization.
-pub struct ArimaPipeline {
-    /// Maximum non-seasonal AR order.
-    pub max_p: usize,
-    /// Maximum non-seasonal MA order.
-    pub max_q: usize,
-    /// Seasonal period hint (0 = non-seasonal).
-    pub m: usize,
-    models: Vec<Arima>,
+/// The wrapper owns what those pipelines share:
+/// - every cold or warm fit runs the series side by side through
+///   `fit_per_series` under one deadline derived from the time budget;
+/// - a warm start ([`Forecaster::fit_incremental`]) needs the previous fit
+///   to be `previous_rows` rows of the same series; the fingerprint growth
+///   is classified once, and each model decides what it accepts;
+/// - the chaos gates on fit, predict and interval paths;
+/// - forecast-frame assembly and Gaussian bands from model variances.
+pub struct PerSeries<M: SeriesModel> {
+    spec: M::Spec,
+    models: Vec<M>,
     names: Vec<String>,
     fitted_rows: usize,
     last_fp: Option<FrameFingerprint>,
     budget: Option<Duration>,
 }
 
-impl ArimaPipeline {
-    /// Auto-ARIMA with the paper's pmdarima-style defaults (max 3/3).
-    pub fn new(m: usize) -> Self {
+impl<M: SeriesModel> PerSeries<M> {
+    fn with_spec(spec: M::Spec) -> Self {
         Self {
-            max_p: 3,
-            max_q: 3,
-            m,
+            spec,
             models: Vec::new(),
             names: Vec::new(),
             fitted_rows: 0,
@@ -471,25 +258,40 @@ impl ArimaPipeline {
         }
     }
 
-    /// Whether any per-series search in the last fit was cut short by the
-    /// soft time budget (best-so-far parameters were kept).
-    pub fn timed_out(&self) -> bool {
-        self.models.iter().any(|m| m.timed_out)
+    fn fit_gate(&self, len: usize) -> Result<(), PipelineError> {
+        if M::GATED {
+            chaos_fit_gate(M::name(&self.spec), len)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Fresh unfitted copy with the same hyperparameters and time budget.
+    fn unfitted(&self) -> Self {
+        let mut fresh = Self::with_spec(self.spec.clone());
+        fresh.budget = self.budget;
+        fresh
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.budget.map(|b| Instant::now() + b)
+    }
+
+    fn forecasts(&self, horizon: usize) -> Vec<Vec<f64>> {
+        self.models.iter().map(|m| m.forecast(horizon)).collect()
     }
 }
 
-impl Forecaster for ArimaPipeline {
+impl<M: SeriesModel> Forecaster for PerSeries<M> {
     fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        chaos_fit_gate("Arima", frame.len())?;
+        self.fit_gate(frame.len())?;
         self.models.clear();
         self.fitted_rows = 0;
         self.last_fp = None;
         self.names = frame.names().to_vec();
-        // one absolute deadline shared by every per-series search, so the
-        // whole fit honors the budget, not each series separately
-        let deadline = self.budget.map(|b| Instant::now() + b);
+        let (spec, deadline) = (&self.spec, self.deadline());
         self.models = fit_per_series(frame.n_series(), |c| {
-            auto_arima_with_deadline(frame.series(c), self.max_p, self.max_q, self.m, deadline)
+            M::fit(frame.series(c), spec, deadline)
         })
         .map_err(|e| PipelineError::Fit(e.message))?;
         if self.models.is_empty() {
@@ -508,32 +310,42 @@ impl Forecaster for ArimaPipeline {
         let Some(old_fp) = self.last_fp.as_ref() else {
             return Ok(false);
         };
-        let fp = frame.fingerprint();
         if self.fitted_rows == 0
             || previous_rows != self.fitted_rows
             || frame.len() < previous_rows
             || frame.n_series() != self.models.len()
-            || !(fp.extends_as_suffix(old_fp) || fp.extends_as_prefix(old_fp))
         {
             return Ok(false);
         }
-        chaos_fit_gate("Arima", frame.len())?;
-        // seeded models are built into a fresh vec so a failure mid-way
+        let fp = frame.fingerprint();
+        let growth = if fp.extends_as_prefix(old_fp) {
+            Some(Growth::Appended)
+        } else if fp.extends_as_suffix(old_fp) {
+            Some(Growth::Prepended)
+        } else {
+            None
+        };
+        if !self
+            .models
+            .iter()
+            .all(|m| m.warm_start(growth, previous_rows))
+        {
+            return Ok(false);
+        }
+        self.fit_gate(frame.len())?;
+        // warm models are built into a fresh vec so a failure mid-way
         // leaves the previous fit untouched for the executor's cold fallback
-        let deadline = self.budget.map(|b| Instant::now() + b);
-        let seeds = &self.models;
-        let models = fit_per_series(seeds.len(), |c| match seeds.get(c) {
-            Some(seed) => auto_arima_seeded_with_deadline(
-                frame.series(c),
-                self.max_p,
-                self.max_q,
-                self.m,
-                seed,
-                deadline,
-            ),
+        let (seeds, spec, deadline) = (&self.models, &self.spec, self.deadline());
+        let refits = fit_per_series(seeds.len(), |c| match seeds.get(c) {
+            Some(seed) => seed.refit(frame.series(c), spec, growth, previous_rows, deadline),
             None => Err(FitError::new("no seed model for this series")),
         })
         .map_err(|e| PipelineError::Fit(e.message))?;
+        // an error in any series fails the refit; otherwise one refusing
+        // series sends the whole pipeline to the cold fallback
+        let Some(models) = refits.into_iter().collect::<Option<Vec<M>>>() else {
+            return Ok(false);
+        };
         self.models = models;
         self.names = frame.names().to_vec();
         self.fitted_rows = frame.len();
@@ -545,13 +357,13 @@ impl Forecaster for ArimaPipeline {
         if self.models.is_empty() {
             return Err(PipelineError::NotFitted);
         }
-        if let Some(poisoned) = chaos_predict_gate("Arima", horizon, self.models.len()) {
-            return Ok(poisoned);
+        if M::GATED {
+            let poisoned = chaos_predict_gate(M::name(&self.spec), horizon, self.models.len());
+            if let Some(poisoned) = poisoned {
+                return Ok(poisoned);
+            }
         }
-        Ok(forecast_frame(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-        ))
+        Ok(forecast_frame(&self.names, self.forecasts(horizon)))
     }
 
     fn predict_interval(
@@ -562,21 +374,28 @@ impl Forecaster for ArimaPipeline {
         if self.models.is_empty() {
             return Err(PipelineError::NotFitted);
         }
-        let poison = chaos_interval_gate("Arima", horizon)?;
+        let variances: Option<Vec<Vec<f64>>> = self
+            .models
+            .iter()
+            .map(|m| m.forecast_variance(horizon))
+            .collect();
+        let Some(variances) = variances else {
+            return Err(PipelineError::InvalidInput(
+                "no native interval implementation".into(),
+            ));
+        };
+        let poison = M::GATED && chaos_interval_gate(M::name(&self.spec), horizon)?;
         native_gaussian_interval(
             &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-            self.models
-                .iter()
-                .map(|m| m.forecast_variance(horizon))
-                .collect(),
+            self.forecasts(horizon),
+            variances,
             poison,
             levels,
         )
     }
 
     fn name(&self) -> String {
-        "Arima".into()
+        M::name(&self.spec).into()
     }
 
     fn set_time_budget(&mut self, budget: Option<Duration>) {
@@ -584,16 +403,225 @@ impl Forecaster for ArimaPipeline {
     }
 
     fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        Box::new(Self {
-            max_p: self.max_p,
-            max_q: self.max_q,
-            m: self.m,
-            models: Vec::new(),
-            names: Vec::new(),
-            fitted_rows: 0,
-            last_fp: None,
-            budget: self.budget,
-        })
+        Box::new(self.unfitted())
+    }
+}
+
+impl<M: SeriesModel<Spec = ()>> PerSeries<M> {
+    /// New unfitted pipeline (the model has no hyperparameters).
+    pub fn new() -> Self {
+        Self::with_spec(())
+    }
+}
+
+impl<M: SeriesModel<Spec = ()>> Default for PerSeries<M> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The Zero Model as a pipeline: repeat each series' last value (§4).
+pub type ZeroModelPipeline = PerSeries<ZeroModel>;
+
+impl SeriesModel for ZeroModel {
+    type Spec = ();
+    const GATED: bool = false;
+
+    fn name(_: &()) -> &'static str {
+        "ZeroModel"
+    }
+
+    fn fit(series: &[f64], _: &(), _: Option<Instant>) -> Result<Self, FitError> {
+        let mut m = ZeroModel::new();
+        m.fit(series)?;
+        Ok(m)
+    }
+
+    // the fitted state is each series' last value; growing the frame at
+    // the front (reverse allocations) leaves it untouched, so the previous
+    // fit is already bit-identical to a full refit
+    fn warm_start(&self, growth: Option<Growth>, _: usize) -> bool {
+        growth != Some(Growth::Appended)
+    }
+
+    fn refit(
+        &self,
+        _: &[f64],
+        _: &(),
+        _: Option<Growth>,
+        _: usize,
+        _: Option<Instant>,
+    ) -> Result<Option<Self>, FitError> {
+        Ok(Some(self.clone()))
+    }
+
+    fn forecast(&self, horizon: usize) -> Vec<f64> {
+        self.forecast(horizon)
+    }
+
+    fn forecast_variance(&self, horizon: usize) -> Option<Vec<f64>> {
+        Some(self.forecast_variance(horizon))
+    }
+}
+
+/// Seasonal naive as a pipeline: repeat each series' trailing season.
+pub type SeasonalNaivePipeline = PerSeries<SeasonalNaive>;
+
+impl SeasonalNaivePipeline {
+    /// New unfitted pipeline with seasonal period `m` (clamped to ≥ 1;
+    /// period 1 degenerates to the Zero Model).
+    pub fn new(m: usize) -> Self {
+        Self::with_spec(m.max(1))
+    }
+}
+
+impl SeriesModel for SeasonalNaive {
+    type Spec = usize;
+
+    fn name(_: &usize) -> &'static str {
+        "SeasonalNaive"
+    }
+
+    fn fit(series: &[f64], period: &usize, _: Option<Instant>) -> Result<Self, FitError> {
+        let mut m = SeasonalNaive::new(*period);
+        m.fit(series)?;
+        Ok(m)
+    }
+
+    // the fitted state is the trailing season of each series; once the
+    // previous fit already covered a full period, growth at the front
+    // cannot change it. Shorter previous fits stored a truncated tail, so
+    // they must go through a full refit.
+    fn warm_start(&self, growth: Option<Growth>, previous_rows: usize) -> bool {
+        growth != Some(Growth::Appended) && previous_rows >= self.period()
+    }
+
+    fn refit(
+        &self,
+        _: &[f64],
+        _: &usize,
+        _: Option<Growth>,
+        _: usize,
+        _: Option<Instant>,
+    ) -> Result<Option<Self>, FitError> {
+        Ok(Some(self.clone()))
+    }
+
+    fn forecast(&self, horizon: usize) -> Vec<f64> {
+        self.forecast(horizon)
+    }
+}
+
+/// Autoregression per series via Yule–Walker, warm-startable across
+/// T-Daub's growing allocations: [`Forecaster::fit_incremental`] extends the
+/// underlying [`IncrementalAr`] moment sums in O(added · order) and stays
+/// bit-identical to a full refit (end-aligned blocked summation).
+pub type ArPipeline = PerSeries<IncrementalAr>;
+
+impl ArPipeline {
+    /// New unfitted AR pipeline with the given order (clamped to ≥ 1).
+    pub fn new(order: usize) -> Self {
+        Self::with_spec(order.max(1))
+    }
+}
+
+impl SeriesModel for IncrementalAr {
+    type Spec = usize;
+
+    fn name(_: &usize) -> &'static str {
+        "AR"
+    }
+
+    fn fit(series: &[f64], order: &usize, _: Option<Instant>) -> Result<Self, FitError> {
+        let mut m = IncrementalAr::new(*order);
+        m.fit(series)?;
+        Ok(m)
+    }
+
+    // the moment sums extend only when the previous data is the suffix
+    fn warm_start(&self, growth: Option<Growth>, _: usize) -> bool {
+        growth != Some(Growth::Appended)
+    }
+
+    fn refit(
+        &self,
+        series: &[f64],
+        _: &usize,
+        _: Option<Growth>,
+        previous_rows: usize,
+        _: Option<Instant>,
+    ) -> Result<Option<Self>, FitError> {
+        let mut m = self.clone();
+        Ok(m.fit_extended(series, previous_rows)?.then_some(m))
+    }
+
+    fn forecast(&self, horizon: usize) -> Vec<f64> {
+        self.forecast(horizon)
+    }
+
+    fn forecast_variance(&self, horizon: usize) -> Option<Vec<f64>> {
+        Some(self.forecast_variance(horizon))
+    }
+}
+
+/// Automatic ARIMA per series (the `Arima` pipeline of Table 6).
+///
+/// Supports a tier-2 (rank-stable) [`Forecaster::fit_incremental`] warm
+/// start: when the new frame provably extends the previously fitted view
+/// (fingerprint-verified), the stepwise order search restarts at the
+/// previous winner's `(p, q)` and each refit seeds CSS Nelder–Mead from
+/// the previous coefficients instead of a cold initialization.
+pub type ArimaPipeline = PerSeries<Arima>;
+
+impl ArimaPipeline {
+    /// Auto-ARIMA with the paper's pmdarima-style defaults (max 3/3) and
+    /// seasonal period hint `m` (0 = non-seasonal).
+    pub fn new(m: usize) -> Self {
+        Self::with_spec((3, 3, m))
+    }
+
+    /// Whether any per-series search in the last fit was cut short by the
+    /// soft time budget (best-so-far parameters were kept).
+    pub fn timed_out(&self) -> bool {
+        self.models.iter().any(|m| m.timed_out)
+    }
+}
+
+impl SeriesModel for Arima {
+    /// `(max_p, max_q, m)`: the order-search bounds and the seasonal period.
+    type Spec = (usize, usize, usize);
+
+    fn name(_: &Self::Spec) -> &'static str {
+        "Arima"
+    }
+
+    fn fit(series: &[f64], spec: &Self::Spec, deadline: Option<Instant>) -> Result<Self, FitError> {
+        let &(max_p, max_q, m) = spec;
+        auto_arima_with_deadline(series, max_p, max_q, m, deadline)
+    }
+
+    fn warm_start(&self, growth: Option<Growth>, _: usize) -> bool {
+        growth.is_some()
+    }
+
+    fn refit(
+        &self,
+        series: &[f64],
+        spec: &Self::Spec,
+        _: Option<Growth>,
+        _: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Self>, FitError> {
+        let &(max_p, max_q, m) = spec;
+        auto_arima_seeded_with_deadline(series, max_p, max_q, m, self, deadline).map(Some)
+    }
+
+    fn forecast(&self, horizon: usize) -> Vec<f64> {
+        self.forecast(horizon)
+    }
+
+    fn forecast_variance(&self, horizon: usize) -> Option<Vec<f64>> {
+        Some(self.forecast_variance(horizon))
     }
 }
 
@@ -606,48 +634,25 @@ impl Forecaster for ArimaPipeline {
 /// reverse growth (T-Daub's allocations, previous view is a suffix)
 /// restarts the Nelder–Mead smoothing-constant search from the previous
 /// optimum. Both paths are fingerprint-verified with a cold-fit fallback.
-pub struct HoltWintersPipeline {
-    seasonality: Seasonality,
-    models: Vec<HoltWinters>,
-    names: Vec<String>,
-    fitted_rows: usize,
-    last_fp: Option<FrameFingerprint>,
-    budget: Option<Duration>,
-}
+pub type HoltWintersPipeline = PerSeries<HoltWinters>;
 
 impl HoltWintersPipeline {
     /// Additive triple exponential smoothing with period `m` (0 → trend only).
     pub fn additive(m: usize) -> Self {
-        let s = if m >= 2 {
+        Self::with_spec(if m >= 2 {
             Seasonality::Additive(m)
         } else {
             Seasonality::None
-        };
-        Self {
-            seasonality: s,
-            models: Vec::new(),
-            names: Vec::new(),
-            fitted_rows: 0,
-            last_fp: None,
-            budget: None,
-        }
+        })
     }
 
     /// Multiplicative triple exponential smoothing with period `m`.
     pub fn multiplicative(m: usize) -> Self {
-        let s = if m >= 2 {
+        Self::with_spec(if m >= 2 {
             Seasonality::Multiplicative(m)
         } else {
             Seasonality::None
-        };
-        Self {
-            seasonality: s,
-            models: Vec::new(),
-            names: Vec::new(),
-            fitted_rows: 0,
-            last_fp: None,
-            budget: None,
-        }
+        })
     }
 
     /// Whether any per-series constant search in the last fit was cut short
@@ -657,146 +662,62 @@ impl HoltWintersPipeline {
     }
 }
 
-impl Forecaster for HoltWintersPipeline {
-    fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        chaos_fit_gate(&self.name(), frame.len())?;
-        self.models.clear();
-        self.fitted_rows = 0;
-        self.last_fp = None;
-        self.names = frame.names().to_vec();
-        // one absolute deadline shared by every per-series search, so the
-        // whole fit honors the budget, not each series separately
-        let deadline = self.budget.map(|b| Instant::now() + b);
-        for c in 0..frame.n_series() {
-            // degrade gracefully to non-seasonal when the series is too
-            // short for the configured period
-            let m = HoltWinters::fit_with_deadline(frame.series(c), self.seasonality, deadline)
-                .or_else(|_| {
-                    HoltWinters::fit_with_deadline(frame.series(c), Seasonality::None, deadline)
-                })
-                .map_err(|e| PipelineError::Fit(e.message))?;
-            self.models.push(m);
+impl SeriesModel for HoltWinters {
+    type Spec = Seasonality;
+
+    fn name(seasonality: &Seasonality) -> &'static str {
+        match seasonality {
+            Seasonality::Multiplicative(_) => "HW-Multiplicative",
+            _ => "HW-Additive",
         }
-        if self.models.is_empty() {
-            return Err(PipelineError::InvalidInput("empty frame".into()));
-        }
-        self.fitted_rows = frame.len();
-        self.last_fp = Some(frame.fingerprint());
-        Ok(())
     }
 
-    fn fit_incremental(
-        &mut self,
-        frame: &TimeSeriesFrame,
-        previous_rows: usize,
-    ) -> Result<bool, PipelineError> {
-        let Some(old_fp) = self.last_fp.as_ref() else {
-            return Ok(false);
-        };
-        let fp = frame.fingerprint();
-        if self.fitted_rows == 0
-            || previous_rows != self.fitted_rows
-            || frame.len() < previous_rows
-            || frame.n_series() != self.models.len()
-        {
-            return Ok(false);
-        }
-        let appended = frame.len() > previous_rows && fp.extends_as_prefix(old_fp);
-        if !appended && !fp.extends_as_suffix(old_fp) {
-            return Ok(false);
-        }
-        chaos_fit_gate(&self.name(), frame.len())?;
-        // warm models are built into a fresh vec so a failure mid-way
-        // leaves the previous fit untouched for the executor's cold fallback
-        let deadline = self.budget.map(|b| Instant::now() + b);
-        let mut models = Vec::with_capacity(self.models.len());
-        for seed in &self.models {
-            let c = models.len();
-            let s = frame.series(c);
-            let m = if appended && seed.len() == previous_rows {
-                // forward growth: continue the smoothing recursion over the
-                // appended rows only, keeping the fitted constants
-                let mut warm = seed.clone();
-                match warm.extend(s.get(previous_rows..).unwrap_or_default()) {
-                    Ok(()) => warm,
-                    Err(_) => return Ok(false),
-                }
-            } else {
-                // reverse growth: re-optimize from the previous optimum,
-                // mirroring `fit`'s graceful non-seasonal degradation
-                HoltWinters::fit_seeded_with_deadline(s, self.seasonality, seed, deadline)
-                    .or_else(|_| {
-                        HoltWinters::fit_seeded_with_deadline(s, Seasonality::None, seed, deadline)
-                    })
-                    .map_err(|e| PipelineError::Fit(e.message))?
-            };
-            models.push(m);
-        }
-        self.models = models;
-        self.names = frame.names().to_vec();
-        self.fitted_rows = frame.len();
-        self.last_fp = Some(fp);
-        Ok(true)
+    // degrade gracefully to non-seasonal when the series is too short for
+    // the configured period
+    fn fit(series: &[f64], s: &Seasonality, deadline: Option<Instant>) -> Result<Self, FitError> {
+        HoltWinters::fit_with_deadline(series, *s, deadline)
+            .or_else(|_| HoltWinters::fit_with_deadline(series, Seasonality::None, deadline))
     }
 
-    fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        if let Some(poisoned) = chaos_predict_gate(&self.name(), horizon, self.models.len()) {
-            return Ok(poisoned);
-        }
-        Ok(forecast_frame(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-        ))
+    fn warm_start(&self, growth: Option<Growth>, _: usize) -> bool {
+        growth.is_some()
     }
 
-    fn predict_interval(
+    fn refit(
         &self,
-        horizon: usize,
-        levels: &[f64],
-    ) -> Result<IntervalForecast, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
+        series: &[f64],
+        s: &Seasonality,
+        growth: Option<Growth>,
+        previous_rows: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Self>, FitError> {
+        if growth == Some(Growth::Appended) && self.len() == previous_rows {
+            // forward growth: continue the smoothing recursion over the
+            // appended rows only, keeping the fitted constants
+            let mut warm = self.clone();
+            let appended = series.get(previous_rows..).unwrap_or_default();
+            return Ok(warm.extend(appended).is_ok().then_some(warm));
         }
-        let poison = chaos_interval_gate(&self.name(), horizon)?;
-        native_gaussian_interval(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-            self.models
-                .iter()
-                .map(|m| m.forecast_variance(horizon))
-                .collect(),
-            poison,
-            levels,
-        )
+        // reverse growth: re-optimize from the previous optimum, mirroring
+        // `fit`'s graceful non-seasonal degradation
+        HoltWinters::fit_seeded_with_deadline(series, *s, self, deadline)
+            .or_else(|_| {
+                HoltWinters::fit_seeded_with_deadline(series, Seasonality::None, self, deadline)
+            })
+            .map(Some)
     }
 
-    fn name(&self) -> String {
-        match self.seasonality {
-            Seasonality::Multiplicative(_) => "HW-Multiplicative".into(),
-            _ => "HW-Additive".into(),
-        }
+    fn forecast(&self, horizon: usize) -> Vec<f64> {
+        self.forecast(horizon)
     }
 
-    fn set_time_budget(&mut self, budget: Option<Duration>) {
-        self.budget = budget;
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        Box::new(Self {
-            seasonality: self.seasonality,
-            models: Vec::new(),
-            names: Vec::new(),
-            fitted_rows: 0,
-            last_fp: None,
-            budget: self.budget,
-        })
+    fn forecast_variance(&self, horizon: usize) -> Option<Vec<f64>> {
+        Some(self.forecast_variance(horizon))
     }
 }
 
-/// BATS per series (the `bats` pipeline of Table 6).
+/// BATS per series (the `bats` pipeline of Table 6). Each series holds its
+/// model and whether that model came from a seeded refit.
 ///
 /// Supports a tier-2 (rank-stable) [`Forecaster::fit_incremental`] warm
 /// start: both forward growth (appended rows) and reverse growth (T-Daub's
@@ -814,138 +735,57 @@ impl Forecaster for HoltWintersPipeline {
 /// one refit: after a seeded refit the next `fit_incremental` is refused,
 /// forcing the executor's cold fallback to re-run the component search, so
 /// warm and cold fits alternate along T-Daub's allocation ladder.
-pub struct BatsPipeline {
-    /// Candidate seasonal periods handed to the component search.
-    pub periods: Vec<usize>,
-    models: Vec<Bats>,
-    names: Vec<String>,
-    fitted_rows: usize,
-    /// Consecutive seeded refits since the last full component search.
-    warm_streak: usize,
-    last_fp: Option<FrameFingerprint>,
-    budget: Option<Duration>,
-}
+pub type BatsPipeline = PerSeries<(Bats, bool)>;
 
 impl BatsPipeline {
     /// BATS with the given candidate seasonal periods.
     pub fn new(periods: Vec<usize>) -> Self {
-        Self {
-            periods,
-            models: Vec::new(),
-            names: Vec::new(),
-            fitted_rows: 0,
-            warm_streak: 0,
-            last_fp: None,
-            budget: None,
-        }
+        Self::with_spec(BatsConfig::with_periods(periods))
     }
 
     /// Whether any per-series component search in the last fit was cut short
     /// by the soft time budget (the best configuration so far was kept).
     pub fn timed_out(&self) -> bool {
-        self.models.iter().any(|m| m.timed_out)
+        self.models.iter().any(|(m, _)| m.timed_out)
     }
 }
 
-impl Forecaster for BatsPipeline {
-    fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        chaos_fit_gate("bats", frame.len())?;
-        self.models.clear();
-        self.fitted_rows = 0;
-        self.last_fp = None;
-        self.names = frame.names().to_vec();
-        let config = BatsConfig::with_periods(self.periods.clone());
-        // one absolute deadline shared by every per-series search, so the
-        // whole fit honors the budget, not each series separately
-        let deadline = self.budget.map(|b| Instant::now() + b);
-        self.models = fit_per_series(frame.n_series(), |c| {
-            Bats::fit_with_deadline(frame.series(c), &config, deadline)
-        })
-        .map_err(|e| PipelineError::Fit(e.message))?;
-        if self.models.is_empty() {
-            return Err(PipelineError::InvalidInput("empty frame".into()));
-        }
-        self.fitted_rows = frame.len();
-        self.warm_streak = 0;
-        self.last_fp = Some(frame.fingerprint());
-        Ok(())
+impl SeriesModel for (Bats, bool) {
+    type Spec = BatsConfig;
+
+    fn name(_: &BatsConfig) -> &'static str {
+        "bats"
     }
 
-    fn fit_incremental(
-        &mut self,
-        frame: &TimeSeriesFrame,
-        previous_rows: usize,
-    ) -> Result<bool, PipelineError> {
-        let Some(old_fp) = self.last_fp.as_ref() else {
-            return Ok(false);
-        };
-        let fp = frame.fingerprint();
-        if self.fitted_rows == 0
-            || previous_rows != self.fitted_rows
-            || frame.len() < previous_rows
-            || frame.n_series() != self.models.len()
-        {
-            return Ok(false);
-        }
-        let appended = frame.len() > previous_rows && fp.extends_as_prefix(old_fp);
-        if !appended && !fp.extends_as_suffix(old_fp) {
-            return Ok(false);
-        }
-        // stale seed: the component structure was chosen two refits ago —
-        // refuse the warm path so the executor re-runs the full AIC
-        // component search before the selection drifts from a cold fit's
-        if self.warm_streak >= 1 {
-            return Ok(false);
-        }
-        chaos_fit_gate("bats", frame.len())?;
-        let config = BatsConfig::with_periods(self.periods.clone());
-        let deadline = self.budget.map(|b| Instant::now() + b);
-        // warm models are built into a fresh vec so a failure mid-way
-        // leaves the previous fit untouched for the executor's cold fallback
-        let seeds = &self.models;
-        let fitted = fit_per_series(seeds.len(), |c| match seeds.get(c) {
-            Some(seed) => Bats::fit_seeded_with_deadline(frame.series(c), &config, seed, deadline),
-            None => Err(FitError::new("no seed model for this series")),
-        });
-        // a structure change (e.g. a period newly feasible on the grown
-        // series) rejects the seed — report "not incremental" so the
-        // executor falls back to a cold fit with a fresh component search
-        let Ok(models) = fitted else {
-            return Ok(false);
-        };
-        self.models = models;
-        self.names = frame.names().to_vec();
-        self.fitted_rows = frame.len();
-        self.warm_streak += 1;
-        self.last_fp = Some(fp);
-        Ok(true)
+    fn fit(
+        series: &[f64],
+        config: &BatsConfig,
+        deadline: Option<Instant>,
+    ) -> Result<Self, FitError> {
+        Ok((Bats::fit_with_deadline(series, config, deadline)?, false))
     }
 
-    fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        if let Some(poisoned) = chaos_predict_gate("bats", horizon, self.models.len()) {
-            return Ok(poisoned);
-        }
-        Ok(forecast_frame(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-        ))
+    fn warm_start(&self, growth: Option<Growth>, _: usize) -> bool {
+        growth.is_some() && !self.1
     }
 
-    fn name(&self) -> String {
-        "bats".into()
+    // a structure change (e.g. a period newly feasible on the grown series)
+    // rejects the seed — refuse so the executor falls back to a cold fit
+    // with a fresh component search
+    fn refit(
+        &self,
+        series: &[f64],
+        config: &BatsConfig,
+        _: Option<Growth>,
+        _: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Self>, FitError> {
+        let seeded = Bats::fit_seeded_with_deadline(series, config, &self.0, deadline);
+        Ok(seeded.ok().map(|m| (m, true)))
     }
 
-    fn set_time_budget(&mut self, budget: Option<Duration>) {
-        self.budget = budget;
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        let mut fresh = Self::new(self.periods.clone());
-        fresh.budget = self.budget;
-        Box::new(fresh)
+    fn forecast(&self, horizon: usize) -> Vec<f64> {
+        self.0.forecast(horizon)
     }
 }
 
@@ -957,212 +797,118 @@ impl Forecaster for BatsPipeline {
 /// fit's exact order — results match a cold fit to the last bit, and the
 /// warm-start win is the fingerprint-verified lineage check (no transform
 /// rebuild, no state invalidation). Cold-fit fallback on any mismatch.
-#[derive(Default)]
-pub struct ThetaPipeline {
-    models: Vec<ThetaModel>,
-    names: Vec<String>,
-    fitted_rows: usize,
-    last_fp: Option<FrameFingerprint>,
-}
+pub type ThetaPipeline = PerSeries<ThetaModel>;
 
-impl ThetaPipeline {
-    /// New unfitted pipeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+impl SeriesModel for ThetaModel {
+    type Spec = ();
 
-impl Forecaster for ThetaPipeline {
-    fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        self.models.clear();
-        self.fitted_rows = 0;
-        self.last_fp = None;
-        self.names = frame.names().to_vec();
-        for c in 0..frame.n_series() {
-            let mut m = ThetaModel::new();
-            m.fit(frame.series(c))
-                .map_err(|e| PipelineError::Fit(e.message))?;
-            self.models.push(m);
-        }
-        if self.models.is_empty() {
-            return Err(PipelineError::InvalidInput("empty frame".into()));
-        }
-        self.fitted_rows = frame.len();
-        self.last_fp = Some(frame.fingerprint());
-        Ok(())
+    fn name(_: &()) -> &'static str {
+        "Theta"
     }
 
-    fn fit_incremental(
-        &mut self,
-        frame: &TimeSeriesFrame,
-        previous_rows: usize,
-    ) -> Result<bool, PipelineError> {
-        let Some(old_fp) = self.last_fp.as_ref() else {
-            return Ok(false);
-        };
-        let fp = frame.fingerprint();
-        if self.fitted_rows == 0
-            || previous_rows != self.fitted_rows
-            || frame.len() < previous_rows
-            || frame.n_series() != self.models.len()
-        {
-            return Ok(false);
-        }
-        let appended = frame.len() > previous_rows && fp.extends_as_prefix(old_fp);
-        if !appended && !fp.extends_as_suffix(old_fp) {
-            return Ok(false);
-        }
-        let mut models = Vec::with_capacity(self.models.len());
-        for seed in &self.models {
-            let c = models.len();
-            let mut m = ThetaModel::new();
-            if m.fit_seeded(frame.series(c), seed.alpha()).is_err() {
-                return Ok(false);
-            }
-            models.push(m);
-        }
-        self.models = models;
-        self.names = frame.names().to_vec();
-        self.fitted_rows = frame.len();
-        self.last_fp = Some(fp);
-        Ok(true)
+    fn fit(series: &[f64], _: &(), _: Option<Instant>) -> Result<Self, FitError> {
+        let mut m = ThetaModel::new();
+        m.fit(series)?;
+        Ok(m)
     }
 
-    fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        Ok(forecast_frame(
-            &self.names,
-            self.models.iter().map(|m| m.forecast(horizon)).collect(),
-        ))
+    fn warm_start(&self, growth: Option<Growth>, _: usize) -> bool {
+        growth.is_some()
     }
 
-    fn name(&self) -> String {
-        "Theta".into()
+    fn refit(
+        &self,
+        series: &[f64],
+        _: &(),
+        _: Option<Growth>,
+        _: usize,
+        _: Option<Instant>,
+    ) -> Result<Option<Self>, FitError> {
+        let mut m = ThetaModel::new();
+        Ok(m.fit_seeded(series, self.alpha()).is_ok().then_some(m))
     }
 
-    fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        Box::new(Self::new())
+    fn forecast(&self, horizon: usize) -> Vec<f64> {
+        self.forecast(horizon)
     }
 }
 
 /// GARCH(1,1) conditional-volatility pipeline (extension, the paper's §6
 /// "high volatility models" future-work item): each series is modeled as a
 /// random walk with drift whose increments follow a GARCH(1,1) variance
-/// process. Point forecasts extrapolate the drift; intervals widen with the
-/// conditional variance forecast, making this the only pool member whose
-/// bands react to volatility clustering.
-pub struct GarchPipeline {
-    models: Vec<Garch>,
-    lasts: Vec<f64>,
-    names: Vec<String>,
-}
+/// process, held with the series' last value. Point forecasts extrapolate
+/// the drift; intervals widen with the conditional variance forecast,
+/// making this the only pool member whose bands react to volatility
+/// clustering.
+pub type GarchPipeline = PerSeries<(Garch, f64)>;
 
-impl GarchPipeline {
-    /// New unfitted pipeline.
-    pub fn new() -> Self {
-        Self {
-            models: Vec::new(),
-            lasts: Vec::new(),
-            names: Vec::new(),
-        }
-    }
-}
+impl SeriesModel for (Garch, f64) {
+    type Spec = ();
 
-impl Default for GarchPipeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Forecaster for GarchPipeline {
-    fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        chaos_fit_gate("Garch", frame.len())?;
-        self.models.clear();
-        self.lasts.clear();
-        self.names = frame.names().to_vec();
-        for c in 0..frame.n_series() {
-            let s = frame.series(c);
-            let diffs: Vec<f64> = s.windows(2).map(|w| w[1] - w[0]).collect();
-            let m = Garch::fit(&diffs).map_err(|e| PipelineError::Fit(e.message))?;
-            let last = s
-                .last()
-                .copied()
-                .ok_or_else(|| PipelineError::InvalidInput("empty series".into()))?;
-            self.models.push(m);
-            self.lasts.push(last);
-        }
-        if self.models.is_empty() {
-            return Err(PipelineError::InvalidInput("empty frame".into()));
-        }
-        Ok(())
+    fn name(_: &()) -> &'static str {
+        "Garch"
     }
 
-    fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        if let Some(poisoned) = chaos_predict_gate("Garch", horizon, self.models.len()) {
-            return Ok(poisoned);
-        }
-        Ok(forecast_frame(
-            &self.names,
-            self.models
-                .iter()
-                .zip(self.lasts.iter())
-                .map(|(m, last)| (1..=horizon).map(|h| last + m.mu * h as f64).collect())
+    fn fit(series: &[f64], _: &(), _: Option<Instant>) -> Result<Self, FitError> {
+        let diffs: Vec<f64> = series.windows(2).map(|w| w[1] - w[0]).collect();
+        let m = Garch::fit(&diffs)?;
+        let last = series.last().copied();
+        Ok((m, last.ok_or_else(|| FitError::new("empty series"))?))
+    }
+
+    fn forecast(&self, horizon: usize) -> Vec<f64> {
+        let (m, last) = self;
+        (1..=horizon).map(|h| last + m.mu * h as f64).collect()
+    }
+
+    // variance of the h-step level forecast is the accumulated conditional
+    // variance of the h increments
+    fn forecast_variance(&self, horizon: usize) -> Option<Vec<f64>> {
+        let mut acc = 0.0;
+        let increments = self.0.forecast_variance(horizon).into_iter();
+        Some(
+            increments
+                .map(|v| {
+                    acc += v.max(0.0);
+                    acc
+                })
                 .collect(),
-        ))
-    }
-
-    fn predict_interval(
-        &self,
-        horizon: usize,
-        levels: &[f64],
-    ) -> Result<IntervalForecast, PipelineError> {
-        if self.models.is_empty() {
-            return Err(PipelineError::NotFitted);
-        }
-        let poison = chaos_interval_gate("Garch", horizon)?;
-        // variance of the h-step level forecast is the accumulated
-        // conditional variance of the h increments
-        let variances: Vec<Vec<f64>> = self
-            .models
-            .iter()
-            .map(|m| {
-                let mut acc = 0.0;
-                m.forecast_variance(horizon)
-                    .into_iter()
-                    .map(|v| {
-                        acc += v.max(0.0);
-                        acc
-                    })
-                    .collect()
-            })
-            .collect();
-        native_gaussian_interval(
-            &self.names,
-            self.models
-                .iter()
-                .zip(self.lasts.iter())
-                .map(|(m, last)| (1..=horizon).map(|h| last + m.mu * h as f64).collect())
-                .collect(),
-            variances,
-            poison,
-            levels,
         )
     }
-
-    fn name(&self) -> String {
-        "Garch".into()
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        Box::new(Self::new())
-    }
 }
 
+/// Recursive multi-step forecast for a direct window model trained for
+/// `trained` steps: predict from the latest `lookback` window of `tail`,
+/// keep up to `horizon` steps, append the full prediction, repeat.
+/// `predict_row(features, take)` returns the series-major prediction
+/// (`trained` values per series) and learns how many steps are kept.
+fn recursive_window_forecast(
+    tail: &TimeSeriesFrame,
+    lookback: usize,
+    trained: usize,
+    horizon: usize,
+    mut predict_row: impl FnMut(&[f64], usize) -> Vec<f64>,
+) -> Result<Vec<Vec<f64>>, PipelineError> {
+    let n_series = tail.n_series();
+    let mut work = tail.clone();
+    let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); n_series];
+    let mut produced = 0usize;
+    while produced < horizon {
+        let features = latest_window(&work, lookback)
+            .ok_or_else(|| PipelineError::InvalidInput("window unavailable".into()))?;
+        let take = trained.min(horizon - produced);
+        let pred = predict_row(&features, take);
+        let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n_series);
+        for c in 0..n_series {
+            let seg = &pred[c * trained..(c + 1) * trained];
+            out[c].extend_from_slice(&seg[..take]);
+            cols.push(seg.to_vec());
+        }
+        work.append(&TimeSeriesFrame::from_columns(cols));
+        produced += take;
+    }
+    Ok(out)
+}
 /// MT2RForecaster: multi-target regression — a single direct multi-output
 /// linear regression over flattened look-back windows. The fastest ML
 /// pipeline in Table 6 (sub-second on every dataset) and a strong baseline
@@ -1220,27 +966,12 @@ impl Forecaster for Mt2rForecaster {
     fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
         let model = self.model.as_ref().ok_or(PipelineError::NotFitted)?;
         let tail = self.train_tail.as_ref().ok_or(PipelineError::NotFitted)?;
-        let n_series = tail.n_series();
-        if let Some(poisoned) = chaos_predict_gate("MT2RForecaster", horizon, n_series) {
+        if let Some(poisoned) = chaos_predict_gate("MT2RForecaster", horizon, tail.n_series()) {
             return Ok(poisoned);
         }
-        let mut work = tail.clone();
-        let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); n_series];
-        let mut produced = 0usize;
-        while produced < horizon {
-            let features = latest_window(&work, self.lookback)
-                .ok_or_else(|| PipelineError::InvalidInput("window unavailable".into()))?;
-            let pred = model.predict_row(&features); // horizon * n_series, series-major
-            let take = self.horizon.min(horizon - produced);
-            let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n_series);
-            for c in 0..n_series {
-                let seg = &pred[c * self.horizon..(c + 1) * self.horizon];
-                out[c].extend_from_slice(&seg[..take]);
-                cols.push(seg.to_vec());
-            }
-            work.append(&TimeSeriesFrame::from_columns(cols));
-            produced += take;
-        }
+        let out = recursive_window_forecast(tail, self.lookback, self.horizon, horizon, |x, _| {
+            model.predict_row(x)
+        })?;
         Ok(forecast_frame(&self.names, out))
     }
 
@@ -1332,24 +1063,9 @@ impl Forecaster for NeuralPipeline {
     fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
         let model = self.model.as_ref().ok_or(PipelineError::NotFitted)?;
         let tail = self.train_tail.as_ref().ok_or(PipelineError::NotFitted)?;
-        let n_series = tail.n_series();
-        let mut work = tail.clone();
-        let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); n_series];
-        let mut produced = 0usize;
-        while produced < horizon {
-            let features = latest_window(&work, self.lookback)
-                .ok_or_else(|| PipelineError::InvalidInput("window unavailable".into()))?;
-            let pred = model.predict_row(&features);
-            let take = self.horizon.min(horizon - produced);
-            let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n_series);
-            for c in 0..n_series {
-                let seg = &pred[c * self.horizon..(c + 1) * self.horizon];
-                out[c].extend_from_slice(&seg[..take]);
-                cols.push(seg.to_vec());
-            }
-            work.append(&TimeSeriesFrame::from_columns(cols));
-            produced += take;
-        }
+        let out = recursive_window_forecast(tail, self.lookback, self.horizon, horizon, |x, _| {
+            model.predict_row(x)
+        })?;
         Ok(forecast_frame(&self.names, out))
     }
 
@@ -1365,36 +1081,26 @@ impl Forecaster for NeuralPipeline {
             .as_ref()
             .ok_or_else(|| PipelineError::InvalidInput("Gaussian-NLL head unavailable".into()))?;
         let poison = chaos_interval_gate("NeuralWindow", horizon)?;
-        let n_series = tail.n_series();
         // same recursion as `predict` for the point path; the NLL head runs
         // on the identical features and contributes only the dispersion
-        let mut work = tail.clone();
-        let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); n_series];
-        let mut stds: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); n_series];
-        let mut produced = 0usize;
-        while produced < horizon {
-            let features = latest_window(&work, self.lookback)
-                .ok_or_else(|| PipelineError::InvalidInput("window unavailable".into()))?;
-            let pred = model.predict_row(&features);
-            let dist = nll.predict_distribution(&features);
-            let take = self.horizon.min(horizon - produced);
-            let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n_series);
-            for c in 0..n_series {
-                let seg = &pred[c * self.horizon..(c + 1) * self.horizon];
-                out[c].extend_from_slice(&seg[..take]);
-                let dseg = &dist[c * self.horizon..(c + 1) * self.horizon];
-                stds[c].extend(dseg.iter().take(take).map(|(_, sd)| {
-                    if poison {
-                        f64::NAN
-                    } else {
-                        sd.abs()
-                    }
-                }));
-                cols.push(seg.to_vec());
+        let trained = self.horizon;
+        let mut stds: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); tail.n_series()];
+        let out = recursive_window_forecast(tail, self.lookback, trained, horizon, |x, take| {
+            let dist = nll.predict_distribution(x);
+            for (c, sd) in stds.iter_mut().enumerate() {
+                let dseg = &dist[c * trained..(c + 1) * trained];
+                sd.extend(dseg.iter().take(take).map(
+                    |(_, s)| {
+                        if poison {
+                            f64::NAN
+                        } else {
+                            s.abs()
+                        }
+                    },
+                ));
             }
-            work.append(&TimeSeriesFrame::from_columns(cols));
-            produced += take;
-        }
+            model.predict_row(x)
+        })?;
         IntervalForecast::from_gaussian(
             forecast_frame(&self.names, out),
             levels,
@@ -1543,22 +1249,90 @@ mod tests {
         assert!(smape < 15.0, "neural smape {smape}");
     }
 
+    /// Calls the generic `$check(pipeline, name)` once for a fresh instance
+    /// of every per-series pipeline.
+    macro_rules! for_each_per_series {
+        ($check:ident) => {
+            $check(ZeroModelPipeline::new(), "ZeroModel");
+            $check(SeasonalNaivePipeline::new(12), "SeasonalNaive");
+            $check(ArPipeline::new(4), "AR");
+            $check(ArimaPipeline::new(12), "Arima");
+            $check(HoltWintersPipeline::additive(12), "HW-Additive");
+            $check(HoltWintersPipeline::multiplicative(12), "HW-Multiplicative");
+            $check(BatsPipeline::new(vec![12]), "bats");
+            $check(ThetaPipeline::new(), "Theta");
+            $check(GarchPipeline::new(), "Garch");
+        };
+    }
+
+    fn assert_unfitted_refuses<M: SeriesModel>(mut p: PerSeries<M>, name: &str) {
+        assert_eq!(p.predict(3), Err(PipelineError::NotFitted), "{name}");
+        assert!(p.predict_interval(3, &[0.8]).is_err(), "{name}");
+        let frame = seasonal_frame(40);
+        assert_eq!(p.fit_incremental(&frame, 0), Ok(false), "{name}");
+        assert_eq!(p.fit_incremental(&frame, 40), Ok(false), "{name}");
+    }
+
     #[test]
     fn predict_before_fit_errors() {
-        assert!(matches!(
-            ZeroModelPipeline::new().predict(3),
-            Err(PipelineError::NotFitted)
-        ));
+        for_each_per_series!(assert_unfitted_refuses);
         assert!(matches!(
             Mt2rForecaster::new(4, 2).predict(3),
             Err(PipelineError::NotFitted)
         ));
     }
 
+    fn assert_clone_keeps_name_and_budget<M: SeriesModel>(mut p: PerSeries<M>, name: &str) {
+        let budget = Some(Duration::from_millis(250));
+        p.set_time_budget(budget);
+        assert_eq!(p.name(), name);
+        assert_eq!(p.clone_unfitted().name(), name);
+        assert_eq!(p.unfitted().budget, budget, "{name}");
+    }
+
     #[test]
     fn clone_unfitted_produces_same_name() {
-        let p = HoltWintersPipeline::multiplicative(12);
-        assert_eq!(p.clone_unfitted().name(), "HW-Multiplicative");
+        for_each_per_series!(assert_clone_keeps_name_and_budget);
+    }
+
+    fn assert_matches_univariate_fits<M: SeriesModel>(mut p: PerSeries<M>, name: &str) {
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let frame = three_series_frame(150);
+        p.fit(&frame).unwrap();
+        let joint = p.predict(12).unwrap();
+        for c in 0..3 {
+            let mut alone = p.unfitted();
+            alone
+                .fit(&TimeSeriesFrame::univariate(frame.series(c).to_vec()))
+                .unwrap();
+            let single = alone.predict(12).unwrap();
+            assert_eq!(
+                bits(joint.series(c)),
+                bits(single.series(0)),
+                "{name} series {c}"
+            );
+        }
+    }
+
+    #[test]
+    fn multi_series_fit_is_bit_identical_to_univariate_fits() {
+        for_each_per_series!(assert_matches_univariate_fits);
+    }
+
+    #[test]
+    fn tier1_warm_starts_refuse_forward_growth() {
+        // a fit on a prefix is stale once rows are appended: its last value,
+        // trailing season and moment sums all end too early
+        let frame = seasonal_frame(120);
+        let pool: Vec<Box<dyn Forecaster>> = vec![
+            Box::new(ZeroModelPipeline::new()),
+            Box::new(SeasonalNaivePipeline::new(12)),
+            Box::new(ArPipeline::new(4)),
+        ];
+        for mut p in pool {
+            p.fit(&frame.slice(0, 100)).unwrap();
+            assert_eq!(p.fit_incremental(&frame, 100), Ok(false), "{}", p.name());
+        }
     }
 
     #[test]

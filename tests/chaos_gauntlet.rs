@@ -595,6 +595,20 @@ fn mid_observe_faults_degrade_never_corrupt_across_150_plans() {
 }
 
 #[test]
+fn theta_fit_draws_chaos_faults() {
+    let _gate = GATE.lock().unwrap();
+    chaos::install(chaos::FaultPlan {
+        error_prob: 1.0,
+        ..chaos::FaultPlan::empty(7)
+    });
+    let ctx = PipelineContext::new(8, 6, vec![8]);
+    let mut theta = pipeline_by_name("Theta", &ctx).expect("Theta registered");
+    let fitted = theta.fit(&wavy(120));
+    chaos::disable();
+    assert!(matches!(fitted, Err(PipelineError::Fit(_))), "{fitted:?}");
+}
+
+#[test]
 fn an_empty_plan_is_bitwise_invisible() {
     let _gate = GATE.lock().unwrap();
     let frame = wavy(160);

@@ -21,8 +21,8 @@
 
 use autoai_ts_repro::linalg::Rng64;
 use autoai_ts_repro::pipelines::{
-    pipeline_by_name, predict_interval_or_conformal, ConformalCalibration, Forecaster,
-    IntervalForecast, IntervalSource, PipelineContext,
+    pipeline_by_name, predict_interval_or_conformal, ConformalCalibration, IntervalForecast,
+    IntervalSource, PipelineContext,
 };
 use autoai_ts_repro::tsdata::TimeSeriesFrame;
 
