@@ -8,7 +8,9 @@
 //!
 //! * default — full measurement; writes the machine-readable
 //!   `BENCH_kernels.json` at the repo root (per-kernel naive/fast wall
-//!   times and speedups).
+//!   times and speedups, plus the ungated `cart` row: fit times of the
+//!   AutoEnsembler's 60-round GBM and 30-tree forest on one seeded
+//!   window matrix).
 //! * `--smoke` — reduced sizes, no JSON; asserts every gated kernel
 //!   (matmul, gram, dot) stays ≥ 2× ahead of its naive reference,
 //!   and that all kernels agree with the references within a
@@ -19,6 +21,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use autoai_linalg::{dot, Matrix, Rng64};
+use autoai_ml_models::{
+    GradientBoostingConfig, GradientBoostingRegressor, RandomForestConfig, RandomForestRegressor,
+    Regressor,
+};
 
 // ---- naive references (the pre-optimization loop shapes) ---------------
 
@@ -98,6 +104,26 @@ fn max_rel_err(fast: &Matrix, slow: &Matrix, len: usize) -> f64 {
         }
     }
     worst / (len.max(1) as f64)
+}
+
+/// Lag-window design matrix of a seeded seasonal series with trend and
+/// noise (`rows × lags`, the shape of a catalog series' window training
+/// set): row `t` holds `s[t..t+lags]`, the target is `s[t+lags]`.
+fn window_matrix(rng: &mut Rng64, rows: usize, lags: usize) -> (Matrix, Vec<f64>) {
+    let s: Vec<f64> = (0..rows + lags)
+        .map(|t| {
+            let t = t as f64;
+            100.0
+                + 0.2 * t
+                + 15.0 * (2.0 * std::f64::consts::PI * t / 12.0).sin()
+                + 4.0 * rng.normal()
+        })
+        .collect();
+    let data: Vec<f64> = (0..rows)
+        .flat_map(|t| s[t..t + lags].iter().copied())
+        .collect();
+    let y = s[lags..].to_vec();
+    (Matrix::from_vec(rows, lags, data), y)
 }
 
 struct KernelResult {
@@ -206,6 +232,29 @@ fn main() {
         gated: false,
     });
 
+    // CART: the AutoEnsembler's GBM and random-forest candidates, fitted on
+    // the worker pool as the tournament runs them. Telemetry, not gated —
+    // there is no naive reference, only the tree builder's own history.
+    let (cart_rows, cart_lags) = (457, 30);
+    let (wx, wy) = window_matrix(&mut Rng64::seed_from_u64(0xCA27), cart_rows, cart_lags);
+    let gbm_ms = measure_ms(reps, 1, || {
+        let mut m = GradientBoostingRegressor::with_config(GradientBoostingConfig {
+            n_rounds: 60,
+            ..Default::default()
+        });
+        m.fit(black_box(&wx), black_box(&wy)).expect("gbm fit");
+        black_box(m);
+    });
+    let forest_ms = measure_ms(reps, 1, || {
+        let mut m = RandomForestRegressor::with_config(RandomForestConfig {
+            n_trees: 30,
+            max_depth: 10,
+            ..Default::default()
+        });
+        m.fit(black_box(&wx), black_box(&wy)).expect("forest fit");
+        black_box(m);
+    });
+
     for r in &results {
         println!(
             "{:<10} naive {:>10.4} ms   fast {:>10.4} ms   {:>6.2}x{}",
@@ -216,6 +265,11 @@ fn main() {
             if r.gated { "  [gated >= 2x]" } else { "" }
         );
     }
+
+    println!(
+        "{:<10} gbm   {:>10.4} ms   forest {:>8.4} ms   ({cart_rows}x{cart_lags} window)",
+        "cart", gbm_ms, forest_ms
+    );
 
     let min_gated = results
         .iter()
@@ -234,7 +288,7 @@ fn main() {
 
     // machine-readable record at the repo root (hand-built JSON: the schema
     // is flat and the hermetic build carries no serializer)
-    let kernel_json: Vec<String> = results
+    let mut kernel_json: Vec<String> = results
         .iter()
         .map(|r| {
             format!(
@@ -248,6 +302,10 @@ fn main() {
             )
         })
         .collect();
+    kernel_json.push(format!(
+        "    {{\"name\": \"cart\", \"window_shape\": [{cart_rows}, {cart_lags}], \
+         \"gbm_ms\": {gbm_ms:.4}, \"forest_ms\": {forest_ms:.4}, \"gated\": false}}"
+    ));
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3}\n}}\n",
         kernel_json.join(",\n"),

@@ -13,9 +13,12 @@
 //!   copied before/after the zero-copy + caching work).
 //! * `--smoke` — reduced problem size, no JSON; asserts the cache is
 //!   actually effective (hits, extensions, warm starts all non-trivial),
-//!   that cached and uncached runs rank the pool identically, that the
+//!   that the cached arm's warm starts, memo replays and cold units hit
+//!   their exact pins against the uncached arm (the cached/uncached wall
+//!   ratio is printed, not gated), that cached and uncached runs rank the
+//!   pool identically, that the
 //!   scoring phase replays full-length acceleration fits from the memo
-//!   (fits avoided > 0, duplicate full-length fits == 0), and that a
+//!   (duplicate full-length fits == 0), and that a
 //!   drift-style warm re-selection (previous ranking as priors, restricted
 //!   pool, carried cross-run cache) beats a cold full-pool re-fit by the
 //!   0.6x wall bar while preserving rank parity. Exits non-zero on any
@@ -187,8 +190,24 @@ fn time<F: FnMut()>(name: &str, iters: usize, mut f: F) {
     );
 }
 
-/// Runs per uncached/cached timing; [`measure`] keeps the best.
-const SPEEDUP_ITERS: usize = 3;
+/// Units of work a run executed cold: attempted allocations minus memo
+/// replays minus warm starts.
+fn cold_units(r: &TDaubResult) -> u64 {
+    let e = &r.execution;
+    (e.total_allocations() as u64)
+        .saturating_sub(e.fits_avoided)
+        .saturating_sub(e.incremental_fits)
+}
+
+/// Exact smoke-workload (300 rows) counts of the cached arm: warm starts
+/// and memo replays. Each warm start turns one of the uncached arm's cold
+/// units into an incremental fit, so the cached arm runs exactly this many
+/// fewer cold units. These pins are the deterministic form of "warm starts
+/// and the cache make the cached run cheaper"; the wall-clock ratio is
+/// printed as telemetry only (on a 2-core machine it read 1.72x-2.54x on
+/// the same code, too noisy to gate).
+const SMOKE_WARM_STARTS: u64 = 86;
+const SMOKE_FITS_AVOIDED: u64 = 1;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -200,13 +219,10 @@ fn main() {
     // smoke runs in parallel for speed — cache stats and rankings are
     // deterministic across execution modes, and smoke verifies exactly that;
     // the full benchmark stays serial so wall times compare like-for-like
-    // the smoke gates the ratio of these two timings, so both are best-of-3
-    // in every mode: with one run each, the same code read 1.72x in one run
-    // and 2.04x in the next on a 2-core machine
-    let (uncached_ms, uncached) = measure(SPEEDUP_ITERS, || {
+    let (uncached_ms, uncached) = measure(iters, || {
         run_tdaub(pool(), &data, &config(false, smoke)).expect("uncached run")
     });
-    let (cached_ms, cached) = measure(SPEEDUP_ITERS, || {
+    let (cached_ms, cached) = measure(iters, || {
         run_tdaub(pool(), &data, &config(true, smoke)).expect("cached run")
     });
     let stats = cached.execution.cache;
@@ -248,6 +264,13 @@ fn main() {
         uncached.execution.fits_avoided,
         cached.execution.duplicate_fits,
         uncached.execution.duplicate_fits
+    );
+    println!(
+        "cold units: {} cached / {} uncached   (of {} / {} allocations)",
+        cold_units(&cached),
+        cold_units(&uncached),
+        cached.execution.total_allocations(),
+        uncached.execution.total_allocations()
     );
     println!("rankings identical: {rankings_match}");
 
@@ -461,14 +484,30 @@ fn main() {
             stats.extensions > 0,
             "no incremental matrix extensions across allocations"
         );
-        assert!(
-            cached.execution.incremental_fits > 0,
-            "no warm-started fits"
+        // the warm-start floor, exact: the cached arm warm-starts and
+        // replays exactly the pinned counts and runs that many fewer cold
+        // units than the uncached arm over the same allocation schedule
+        // (losing the warm-start path zeroes the first pin and adds the
+        // 86 units back as cold fits)
+        assert_eq!(
+            (
+                cached.execution.incremental_fits,
+                cached.execution.fits_avoided,
+                uncached.execution.incremental_fits,
+                uncached.execution.fits_avoided,
+            ),
+            (SMOKE_WARM_STARTS, SMOKE_FITS_AVOIDED, 0, SMOKE_FITS_AVOIDED),
+            "warm starts / memo replays (cached, then uncached) moved off their pins"
         );
-        assert!(
-            cached.execution.fits_avoided > 0,
-            "scoring phase refit a full-length pipeline instead of \
-             replaying the memoized acceleration score"
+        assert_eq!(
+            cached.execution.total_allocations(),
+            uncached.execution.total_allocations(),
+            "cached and uncached arms ran different allocation schedules"
+        );
+        assert_eq!(
+            cold_units(&cached) + SMOKE_WARM_STARTS,
+            cold_units(&uncached),
+            "the cached arm's cold units are not the uncached arm's minus its warm starts"
         );
         assert!(
             cached.execution.slice_bytes_avoided > 0,
@@ -479,15 +518,6 @@ fn main() {
         assert!(
             copy_reduction >= 5.0,
             "bytes-copied bar not met: {copy_reduction:.1}x (need 5x)"
-        );
-        // coarse wall-clock regression floor: warm starts + transform cache
-        // currently buy ≈2.5x on this workload; 2.0 leaves margin for
-        // scheduler noise on a loaded runner while still catching a lost
-        // warm-start path (which drops the ratio toward 1x)
-        let speedup = uncached_ms / cached_ms.max(1e-9);
-        assert!(
-            speedup >= 2.0,
-            "tdaub smoke speedup regressed: {speedup:.2}x (floor 2.0x, expected ~2.5x)"
         );
         // the serving loop's economics: responding to drift with a warm
         // re-selection (priors + restricted pool + carried cache) must stay

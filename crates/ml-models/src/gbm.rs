@@ -11,7 +11,7 @@
 use autoai_linalg::{Matrix, Rng64};
 
 use crate::api::{MlError, Regressor};
-use crate::tree::{DecisionTreeConfig, DecisionTreeRegressor, FeatureOrders};
+use crate::tree::{DecisionTreeConfig, DecisionTreeRegressor, FeatureOrders, TreeWorkspace};
 
 /// Hyperparameters of the gradient-boosting ensemble.
 #[derive(Debug, Clone)]
@@ -112,18 +112,24 @@ impl Regressor for GradientBoostingRegressor {
         let n_sub = ((n as f64) * self.config.subsample).round().max(2.0) as usize;
         self.stored_lr = self.config.learning_rate * shrink_factor;
         // every round fits on the same design matrix (only the residual
-        // targets change), so one argsort serves all boosting rounds
+        // targets change), so one argsort serves all boosting rounds, and
+        // the per-round buffers and tree workspace are allocated once
         let shared = FeatureOrders::compute(x);
+        let mut ws = TreeWorkspace::default();
+        let mut residuals: Vec<f64> = Vec::with_capacity(n);
+        let mut subset: Vec<usize> = Vec::with_capacity(n);
 
         for round in 0..self.config.n_rounds {
-            let residuals: Vec<f64> = y.iter().zip(&pred).map(|(t, p)| t - p).collect();
-            let indices: Vec<usize> = if n_sub < n {
-                let mut idx = all_indices.clone();
-                rng.shuffle(&mut idx);
-                idx.truncate(n_sub);
-                idx
+            residuals.clear();
+            residuals.extend(y.iter().zip(&pred).map(|(t, p)| t - p));
+            let indices: &[usize] = if n_sub < n {
+                subset.clear();
+                subset.extend_from_slice(&all_indices);
+                rng.shuffle(&mut subset);
+                subset.truncate(n_sub);
+                &subset
             } else {
-                all_indices.clone()
+                &all_indices
             };
             let cfg = DecisionTreeConfig {
                 max_depth: self.config.max_depth,
@@ -133,7 +139,7 @@ impl Regressor for GradientBoostingRegressor {
                 seed: self.config.seed.wrapping_add(round as u64),
             };
             let mut tree = DecisionTreeRegressor::with_config(cfg);
-            tree.fit_indices_presorted(x, &residuals, &indices, &shared)?;
+            tree.fit_in(x, &residuals, indices, &shared, &mut ws)?;
             for (i, p) in pred.iter_mut().enumerate() {
                 *p += self.stored_lr * tree.predict_row(x.row(i));
             }

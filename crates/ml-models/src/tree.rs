@@ -62,40 +62,69 @@ enum Node {
 ///
 /// Sorting is the dominant cost of naive CART split finding; computing the
 /// order once here and letting each fit expand it to its bootstrap multiset
-/// turns per-node split finding into a linear scan.
+/// turns per-node split finding into a linear scan. The sorted feature
+/// values are stored beside the order, so a scan reads both contiguously
+/// instead of gathering `x[(i, f)]` through a stride-`d` row walk.
 pub struct FeatureOrders {
-    /// `orders[f]` lists all row indices sorted ascending by feature `f`
-    /// (`total_cmp`, so NaNs sort last and ties keep row order).
-    orders: Vec<Vec<usize>>,
+    /// Feature-major: `order[f * rows..(f + 1) * rows]` lists all row
+    /// indices sorted ascending by feature `f` (`total_cmp`, so NaNs sort
+    /// last, negative NaNs first, and ties keep row order).
+    order: Vec<usize>,
+    /// `values[k]` is the feature value of row `order[k]`.
+    values: Vec<f64>,
     rows: usize,
+    cols: usize,
 }
 
 impl FeatureOrders {
     /// Argsort every column of `x`.
     pub fn compute(x: &Matrix) -> Self {
-        let n = x.nrows();
-        let orders = (0..x.ncols())
-            .map(|f| {
-                let col: Vec<f64> = (0..n).map(|r| x[(r, f)]).collect();
-                let mut ord: Vec<usize> = (0..n).collect();
-                ord.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
-                ord
-            })
-            .collect();
-        Self { orders, rows: n }
+        let (n, d) = (x.nrows(), x.ncols());
+        let mut order = Vec::with_capacity(n.saturating_mul(d));
+        let mut values = Vec::with_capacity(n.saturating_mul(d));
+        let mut col: Vec<f64> = Vec::with_capacity(n);
+        let mut ord: Vec<usize> = Vec::with_capacity(n);
+        for f in 0..d {
+            col.clear();
+            col.extend((0..n).map(|r| x[(r, f)]));
+            ord.clear();
+            ord.extend(0..n);
+            ord.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
+            order.extend_from_slice(&ord);
+            values.extend(ord.iter().map(|&i| col[i]));
+        }
+        Self {
+            order,
+            values,
+            rows: n,
+            cols: d,
+        }
     }
 }
 
-/// Reusable per-fit buffers: gathered split-scan columns and the partition
-/// staging area. One allocation set serves the whole tree.
-struct Scratch {
-    vals: Vec<f64>,
+/// Reusable per-fit working set. `order`/`values` hold every feature's
+/// order and sorted values over the fit's sample multiset (feature-major,
+/// `m = indices.len()` entries per feature); each node owns the same
+/// `[lo, hi)` range of every feature's block. One workspace serves a whole
+/// tree, and a booster reuses one across all its rounds.
+#[derive(Default)]
+pub(crate) struct TreeWorkspace {
+    order: Vec<usize>,
+    values: Vec<f64>,
+    /// Partition staging: a node segment is written here in child order,
+    /// then copied back.
+    stage_order: Vec<usize>,
+    stage_values: Vec<f64>,
+    /// Targets gathered in the scanned feature's order.
     ys: Vec<f64>,
-    idx: Vec<usize>,
     /// `side[row] == true` ⇔ the row goes to the left child of the split
-    /// currently being applied; filled once per split so partitioning d
-    /// order arrays does d·n byte lookups instead of d·n matrix accesses.
+    /// currently being applied; filled once per split from the split
+    /// feature's sorted values, so partitioning does byte lookups.
     side: Vec<bool>,
+    /// Candidate features of the current node.
+    features: Vec<usize>,
+    /// Multiplicity of every row in the fit's sample multiset.
+    counts: Vec<usize>,
 }
 
 /// A fitted CART regression tree.
@@ -134,13 +163,26 @@ impl DecisionTreeRegressor {
         indices: &[usize],
         shared: &FeatureOrders,
     ) -> Result<(), MlError> {
+        self.fit_in(x, y, indices, shared, &mut TreeWorkspace::default())
+    }
+
+    /// [`Self::fit_indices_presorted`] in a caller-owned workspace, so a
+    /// booster allocates its working set once for all rounds.
+    pub(crate) fn fit_in(
+        &mut self,
+        x: &Matrix,
+        y: &[f64],
+        indices: &[usize],
+        shared: &FeatureOrders,
+        ws: &mut TreeWorkspace,
+    ) -> Result<(), MlError> {
         if indices.is_empty() {
             return Err(MlError::new("decision tree: no training samples"));
         }
         if x.nrows() != y.len() {
             return Err(MlError::new("decision tree: X/y row mismatch"));
         }
-        if shared.rows != x.nrows() || shared.orders.len() != x.ncols() {
+        if shared.rows != x.nrows() || shared.cols != x.ncols() {
             return Err(MlError::new(
                 "decision tree: feature orders were computed for a different matrix",
             ));
@@ -148,67 +190,71 @@ impl DecisionTreeRegressor {
         // expand the full-data sort order to this fit's sample multiset: a
         // row drawn k times by the bootstrap appears k times, in sorted
         // position, in every feature's order
-        let mut counts = vec![0usize; x.nrows()];
+        let counts = &mut ws.counts;
+        counts.clear();
+        counts.resize(x.nrows(), 0);
         for &i in indices {
-            if i >= counts.len() {
+            let Some(c) = counts.get_mut(i) else {
                 return Err(MlError::new("decision tree: sample index out of range"));
-            }
-            counts[i] += 1;
+            };
+            *c += 1;
         }
-        let identity = indices.len() == x.nrows() && counts.iter().all(|&c| c == 1);
-        let mut orders: Vec<Vec<usize>> = if identity {
+        let m = indices.len();
+        let identity = m == x.nrows() && counts.iter().all(|&c| c == 1);
+        ws.order.clear();
+        ws.values.clear();
+        if identity {
             // no resampling (e.g. boosting without row subsampling): the
-            // shared order IS this fit's order, so a straight clone suffices
-            shared.orders.clone()
+            // shared order IS this fit's order, so a straight copy suffices
+            ws.order.extend_from_slice(&shared.order);
+            ws.values.extend_from_slice(&shared.values);
         } else {
-            shared
-                .orders
-                .iter()
-                .map(|full| {
-                    let mut o = Vec::with_capacity(indices.len());
-                    for &i in full {
-                        for _ in 0..counts[i] {
-                            o.push(i);
-                        }
-                    }
-                    o
-                })
-                .collect()
-        };
+            for (&i, &v) in shared.order.iter().zip(&shared.values) {
+                for _ in 0..counts[i] {
+                    ws.order.push(i);
+                    ws.values.push(v);
+                }
+            }
+        }
+        ws.stage_order.resize(m, 0);
+        ws.stage_values.resize(m, 0.0);
+        ws.ys.resize(m, 0.0);
+        ws.side.clear();
+        ws.side.resize(x.nrows(), false);
         self.nodes.clear();
         let mut rng = Rng64::seed_from_u64(self.config.seed);
-        let hi = indices.len();
-        let mut scratch = Scratch {
-            vals: Vec::with_capacity(hi),
-            ys: Vec::with_capacity(hi),
-            idx: Vec::with_capacity(hi),
-            side: vec![false; x.nrows()],
-        };
-        self.build(x, y, &mut orders, 0, hi, 0, &mut rng, &mut scratch);
+        self.build(y, ws, x.ncols(), 0, m, 0, &mut rng);
         Ok(())
     }
 
+    /// Can a node of `n` samples at `depth` split at all? Every test that
+    /// does not look at the targets.
+    fn can_split(&self, n: usize, depth: usize) -> bool {
+        depth < self.config.max_depth
+            && n >= self.config.min_samples_split
+            && n >= 2 * self.config.min_samples_leaf
+    }
+
     /// Recursively grow the tree over the node occupying `[lo, hi)` of every
-    /// feature's order array; returns the new node's index. Children are
-    /// carved out by stable in-place partition, so the whole build allocates
-    /// nothing beyond the shared scratch.
+    /// feature's block of the workspace; returns the new node's index.
+    /// Children are carved out by stable partition of the node's range, so
+    /// the whole build allocates nothing beyond the workspace.
     #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
-        x: &Matrix,
         y: &[f64],
-        orders: &mut [Vec<usize>],
+        ws: &mut TreeWorkspace,
+        d: usize,
         lo: usize,
         hi: usize,
         depth: usize,
         rng: &mut Rng64,
-        scratch: &mut Scratch,
     ) -> usize {
         let n = hi - lo;
-        let base: &[usize] = orders
-            .first()
-            .and_then(|o| o.get(lo..hi))
-            .unwrap_or_default();
+        let m = ws.stage_order.len();
+        // feature 0's block comes first: a node's mean and variance always
+        // sum in feature 0's order
+        let base: &[usize] = ws.order.get(lo..hi).unwrap_or_default();
         let mean = base.iter().map(|&i| y[i]).sum::<f64>() / (n.max(1)) as f64;
         let node_var: f64 = base.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum();
 
@@ -217,65 +263,79 @@ impl DecisionTreeRegressor {
             nodes.len() - 1
         };
 
-        if depth >= self.config.max_depth
-            || n < self.config.min_samples_split
-            || n < 2 * self.config.min_samples_leaf
-            || node_var < 1e-12
-        {
+        if !self.can_split(n, depth) || node_var < 1e-12 {
             return make_leaf(&mut self.nodes);
         }
 
         // choose candidate features
-        let d = x.ncols();
-        let mut features: Vec<usize> = (0..d).collect();
+        ws.features.clear();
+        ws.features.extend(0..d);
         if let Some(mf) = self.config.max_features {
             if mf < d {
-                rng.shuffle(&mut features);
-                features.truncate(mf.max(1));
+                rng.shuffle(&mut ws.features);
+                ws.features.truncate(mf.max(1));
             }
         }
 
         // best split: minimize sum of child SSEs via a prefix scan over the
-        // presorted order — values and targets are gathered into contiguous
-        // scratch first so the scan itself runs branch-light over two slices
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
+        // presorted order. Values are read in place from the feature's
+        // sorted block and targets gathered once into contiguous scratch.
+        // Positions that would leave fewer than `min_samples_leaf` samples
+        // on either side are never scored, so the scan only accumulates
+        // through them and scores `first..end` without a per-step test.
+        // (feature, threshold, score) of the best candidate so far, and the
+        // score a later candidate must undercut to replace it (best - 1e-12)
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut bar = f64::NAN;
         let min_leaf = self.config.min_samples_leaf;
-        for &f in &features {
-            let order: &[usize] = orders
-                .get(f)
-                .and_then(|o| o.get(lo..hi))
-                .unwrap_or_default();
-            scratch.vals.clear();
-            scratch.ys.clear();
-            for &i in order {
-                scratch.vals.push(x[(i, f)]);
-                scratch.ys.push(y[i]);
+        let first = min_leaf.saturating_sub(1);
+        let end = n.saturating_sub(min_leaf.max(1));
+        let features = if first < end { &ws.features[..] } else { &[] };
+        for &f in features {
+            let (a, b) = (f * m + lo, f * m + hi);
+            let (Some(order), Some(vals)) = (ws.order.get(a..b), ws.values.get(a..b)) else {
+                continue;
+            };
+            // gather the targets and both totals in one pass; -0.0 is the
+            // neutral element `Sum` folds from, so these equal `.sum()`
+            let ys = &mut ws.ys[..n];
+            let (mut total_sum, mut total_sq) = (-0.0f64, -0.0f64);
+            for (dst, &i) in ys.iter_mut().zip(order) {
+                let v = y[i];
+                *dst = v;
+                total_sum += v;
+                total_sq += v * v;
             }
-            let total_sum: f64 = scratch.ys.iter().sum();
-            let total_sq: f64 = scratch.ys.iter().map(|v| v * v).sum();
+            let ys = &ys[..];
             let mut sum_l = 0.0;
             let mut sq_l = 0.0;
-            for k in 0..n - 1 {
-                let yi = scratch.ys[k];
+            for &yi in &ys[..first] {
                 sum_l += yi;
                 sq_l += yi * yi;
+            }
+            // left/right sample counts as floats, stepped exactly (integers)
+            let mut n_l = first as f64;
+            let mut n_r = (n - first) as f64;
+            let scored = ys[first..end]
+                .iter()
+                .zip(&vals[first..end])
+                .zip(&vals[first + 1..end + 1]);
+            for ((&yi, &v_cur), &v_next) in scored {
+                sum_l += yi;
+                sq_l += yi * yi;
+                n_l += 1.0;
+                n_r -= 1.0;
                 // no split between equal feature values
-                let v_cur = scratch.vals[k];
-                let v_next = scratch.vals[k + 1];
                 if v_next - v_cur < 1e-12 {
                     continue;
                 }
-                if (k + 1) < min_leaf || (n - k - 1) < min_leaf {
-                    continue;
-                }
-                let n_l = (k + 1) as f64;
-                let n_r = (n - k - 1) as f64;
                 let sse_l = sq_l - sum_l * sum_l / n_l;
                 let sum_r = total_sum - sum_l;
                 let sse_r = (total_sq - sq_l) - sum_r * sum_r / n_r;
                 let score = sse_l + sse_r;
-                if best.as_ref().is_none_or(|&(_, _, s)| score < s - 1e-12) {
+                if best.is_none() || score < bar {
                     best = Some((f, (v_cur + v_next) / 2.0, score));
+                    bar = score - 1e-12;
                 }
             }
         }
@@ -288,45 +348,48 @@ impl DecisionTreeRegressor {
             return make_leaf(&mut self.nodes);
         }
 
-        // stable-partition every feature's order segment by the split
-        // predicate, in place through the shared scratch: stability keeps
-        // each child's segments sorted, so no re-sort is ever needed below.
-        // The predicate is evaluated once per distinct row into `side`, so
-        // the d partition passes do byte lookups, not matrix accesses.
+        // evaluate the split predicate once per sample from the split
+        // feature's sorted values into `side`
+        let (a, b) = (feature * m + lo, feature * m + hi);
         let mut mid = 0usize;
-        for &i in base {
-            let left = x[(i, feature)] <= threshold;
-            if let Some(s) = scratch.side.get_mut(i) {
-                *s = left;
+        if let (Some(order), Some(vals)) = (ws.order.get(a..b), ws.values.get(a..b)) {
+            let side = &mut ws.side[..];
+            for (&i, &v) in order.iter().zip(vals) {
+                let left = v <= threshold;
+                side[i] = left;
+                mid += left as usize;
             }
-            mid += left as usize;
         }
         if mid == 0 || mid == n {
             return make_leaf(&mut self.nodes);
         }
-        let Scratch { idx, side, .. } = scratch;
-        for order in orders.iter_mut() {
-            let Some(seg) = order.get_mut(lo..hi) else {
-                continue;
-            };
-            idx.clear();
-            idx.extend(
-                seg.iter()
-                    .copied()
-                    .filter(|&i| side.get(i).copied().unwrap_or_default()),
-            );
-            idx.extend(
-                seg.iter()
-                    .copied()
-                    .filter(|&i| !side.get(i).copied().unwrap_or_default()),
-            );
-            seg.copy_from_slice(idx);
+        // stable-partition every feature's segment by `side`: stability
+        // keeps each child's segments sorted, so no re-sort is ever needed
+        // below. When neither child can split, the children only read
+        // feature 0's order (for their means), so only it is partitioned.
+        let partitioned = if self.can_split(mid, depth + 1) || self.can_split(n - mid, depth + 1) {
+            d
+        } else {
+            1
+        };
+        for f in 0..partitioned {
+            let (a, b) = (f * m + lo, f * m + hi);
+            if let (Some(order), Some(vals)) = (ws.order.get_mut(a..b), ws.values.get_mut(a..b)) {
+                stable_partition(
+                    order,
+                    vals,
+                    &ws.side,
+                    mid,
+                    &mut ws.stage_order,
+                    &mut ws.stage_values,
+                );
+            }
         }
         // reserve our slot before recursing
         let slot = self.nodes.len();
         self.nodes.push(Node::Leaf { value: mean });
-        let left = self.build(x, y, orders, lo, lo + mid, depth + 1, rng, scratch);
-        let right = self.build(x, y, orders, lo + mid, hi, depth + 1, rng, scratch);
+        let left = self.build(y, ws, d, lo, lo + mid, depth + 1, rng);
+        let right = self.build(y, ws, d, lo + mid, hi, depth + 1, rng);
         self.nodes[slot] = Node::Split {
             feature,
             threshold,
@@ -340,6 +403,36 @@ impl DecisionTreeRegressor {
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
     }
+}
+
+/// Stable partition of one feature's node segment (`order` with its sorted
+/// `values`) by `side[row]`, in one branch-free pass. The left count `mid`
+/// is known from the side pass, so every sample is written once, straight
+/// to its final slot in the staging area (lefts from 0, rights from `mid`,
+/// the slot picked by a select, not a branch), and the staged segment is
+/// copied back.
+fn stable_partition(
+    order: &mut [usize],
+    values: &mut [f64],
+    side: &[bool],
+    mid: usize,
+    stage_order: &mut [usize],
+    stage_values: &mut [f64],
+) {
+    let n = order.len();
+    let (staged_order, staged_values) = (&mut stage_order[..n], &mut stage_values[..n]);
+    let mut l = 0usize;
+    let mut r = mid;
+    for (&i, &v) in order.iter().zip(values.iter()) {
+        let left = side[i];
+        let at = if left { l } else { r };
+        staged_order[at] = i;
+        staged_values[at] = v;
+        l += left as usize;
+        r += !left as usize;
+    }
+    order.copy_from_slice(staged_order);
+    values.copy_from_slice(staged_values);
 }
 
 impl Default for DecisionTreeRegressor {

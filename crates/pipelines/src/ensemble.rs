@@ -19,15 +19,14 @@ use autoai_ml_models::{
     GradientBoostingConfig, GradientBoostingRegressor, LinearRegression, MultiOutputRegressor,
     RandomForestConfig, RandomForestRegressor, Regressor,
 };
-use autoai_transforms::{
-    latest_window, DifferenceTransform, LogTransform, Transform, TransformCache,
-};
+use autoai_transforms::{DifferenceTransform, LogTransform, Transform, TransformCache};
 use autoai_tsdata::TimeSeriesFrame;
 
 use autoai_tsdata::FrameFingerprint;
 
 use crate::caching::{cached_flatten, cached_frame_op, cached_localized_flatten};
 use crate::traits::{Forecaster, PipelineError};
+use crate::window_pipeline::recursive_window_forecast;
 
 /// Which flatten variant the ensembler uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,45 +417,31 @@ impl Forecaster for AutoEnsembler {
 
     fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
         let tail = self.train_tail.as_ref().ok_or(PipelineError::NotFitted)?;
-        let n_series = tail.n_series();
-        let mut work = tail.clone();
-        let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); n_series];
-        let mut produced = 0usize;
-        while produced < horizon {
-            let take = self.horizon.min(horizon - produced);
-            let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n_series);
-            match self.mode {
-                EnsembleMode::Flatten | EnsembleMode::DifferenceFlatten => {
-                    let model = self.model.as_ref().ok_or(PipelineError::NotFitted)?;
-                    let features = latest_window(&work, self.lookback)
-                        .ok_or_else(|| PipelineError::InvalidInput("window unavailable".into()))?;
-                    let pred = model.predict_row(&features); // series-major
-                    for c in 0..n_series {
-                        cols.push(pred[c * self.horizon..(c + 1) * self.horizon].to_vec());
-                    }
-                }
-                EnsembleMode::LocalizedFlatten => {
-                    if self.local_models.is_empty() {
-                        return Err(PipelineError::NotFitted);
-                    }
-                    for (c, model) in self.local_models.iter().enumerate() {
-                        let single = work.select(c);
-                        let features = latest_window(&single, self.lookback).ok_or_else(|| {
-                            PipelineError::InvalidInput("window unavailable".into())
-                        })?;
-                        cols.push(model.predict_row(&features));
-                    }
-                }
+        let (lookback, trained) = (self.lookback, self.horizon);
+        let out = match self.mode {
+            EnsembleMode::Flatten | EnsembleMode::DifferenceFlatten => {
+                let model = self.model.as_ref().ok_or(PipelineError::NotFitted)?;
+                recursive_window_forecast(tail, lookback, trained, horizon, |x, _| {
+                    model.predict_row(x) // series-major
+                })?
             }
-            for (c, col) in cols.iter().enumerate() {
-                out[c].extend_from_slice(&col[..take]);
+            EnsembleMode::LocalizedFlatten => {
+                if self.local_models.is_empty() {
+                    return Err(PipelineError::NotFitted);
+                }
+                // the multi-series window is series-major, so series `c`'s
+                // own window is its `lookback`-long chunk
+                recursive_window_forecast(tail, lookback, trained, horizon, |x, _| {
+                    self.local_models
+                        .iter()
+                        .zip(x.chunks(lookback.max(1)))
+                        .flat_map(|(model, window)| model.predict_row(window))
+                        .collect()
+                })?
             }
-            work.append(&TimeSeriesFrame::from_columns(cols));
-            produced += take;
-        }
+        };
         // inverse transforms on the assembled forecast
-        let mut fc = TimeSeriesFrame::from_columns(out);
-        fc = self.inverse(&fc);
+        let mut fc = self.inverse(&TimeSeriesFrame::from_columns(out));
         if fc.n_series() == self.names.len() {
             fc = fc.with_names(self.names.clone());
         }

@@ -15,16 +15,17 @@ use autoai_stat_models::{
     auto_arima_seeded_with_deadline, auto_arima_with_deadline, Arima, Bats, BatsConfig, FitError,
     Garch, HoltWinters, IncrementalAr, SeasonalNaive, Seasonality, ThetaModel, ZeroModel,
 };
-use autoai_transforms::{latest_window, TransformCache};
+use autoai_transforms::TransformCache;
 use autoai_tsdata::{FrameFingerprint, TimeSeriesFrame};
 
 use crate::caching::cached_flatten;
 use crate::interval::{IntervalForecast, IntervalSource};
 use crate::traits::{Forecaster, PipelineError};
+use crate::window_pipeline::recursive_window_forecast;
 
 use series::{Growth, SeriesModel};
 
-fn forecast_frame(names: &[String], forecasts: Vec<Vec<f64>>) -> TimeSeriesFrame {
+pub(crate) fn forecast_frame(names: &[String], forecasts: Vec<Vec<f64>>) -> TimeSeriesFrame {
     let mut f = TimeSeriesFrame::from_columns(forecasts);
     if f.n_series() == names.len() {
         f = f.with_names(names.to_vec());
@@ -877,38 +878,6 @@ impl SeriesModel for (Garch, f64) {
     }
 }
 
-/// Recursive multi-step forecast for a direct window model trained for
-/// `trained` steps: predict from the latest `lookback` window of `tail`,
-/// keep up to `horizon` steps, append the full prediction, repeat.
-/// `predict_row(features, take)` returns the series-major prediction
-/// (`trained` values per series) and learns how many steps are kept.
-fn recursive_window_forecast(
-    tail: &TimeSeriesFrame,
-    lookback: usize,
-    trained: usize,
-    horizon: usize,
-    mut predict_row: impl FnMut(&[f64], usize) -> Vec<f64>,
-) -> Result<Vec<Vec<f64>>, PipelineError> {
-    let n_series = tail.n_series();
-    let mut work = tail.clone();
-    let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); n_series];
-    let mut produced = 0usize;
-    while produced < horizon {
-        let features = latest_window(&work, lookback)
-            .ok_or_else(|| PipelineError::InvalidInput("window unavailable".into()))?;
-        let take = trained.min(horizon - produced);
-        let pred = predict_row(&features, take);
-        let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n_series);
-        for c in 0..n_series {
-            let seg = &pred[c * trained..(c + 1) * trained];
-            out[c].extend_from_slice(&seg[..take]);
-            cols.push(seg.to_vec());
-        }
-        work.append(&TimeSeriesFrame::from_columns(cols));
-        produced += take;
-    }
-    Ok(out)
-}
 /// MT2RForecaster: multi-target regression — a single direct multi-output
 /// linear regression over flattened look-back windows. The fastest ML
 /// pipeline in Table 6 (sub-second on every dataset) and a strong baseline

@@ -14,7 +14,47 @@ use autoai_transforms::{latest_window, TransformCache};
 use autoai_tsdata::TimeSeriesFrame;
 
 use crate::caching::cached_flatten;
+use crate::stat_pipelines::forecast_frame;
 use crate::traits::{Forecaster, PipelineError};
+
+/// Recursive multi-step forecast for a direct window model trained for
+/// `trained` steps: predict from the latest `lookback` window of `tail`,
+/// keep up to `horizon` steps, append the full prediction, repeat.
+/// `predict_row(features, take)` returns the series-major prediction
+/// (`trained` values per series) and learns how many steps are kept. Only
+/// the latest window is ever read, so the work frame is cut back to its
+/// last `lookback` rows whenever it outgrows `4 · lookback`: a long horizon
+/// never grows it without bound.
+pub(crate) fn recursive_window_forecast(
+    tail: &TimeSeriesFrame,
+    lookback: usize,
+    trained: usize,
+    horizon: usize,
+    mut predict_row: impl FnMut(&[f64], usize) -> Vec<f64>,
+) -> Result<Vec<Vec<f64>>, PipelineError> {
+    let n_series = tail.n_series();
+    let mut work = tail.clone();
+    let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); n_series];
+    let mut produced = 0usize;
+    while produced < horizon {
+        let features = latest_window(&work, lookback)
+            .ok_or_else(|| PipelineError::InvalidInput("window unavailable".into()))?;
+        let take = trained.min(horizon - produced);
+        let pred = predict_row(&features, take);
+        let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n_series);
+        for c in 0..n_series {
+            let seg = &pred[c * trained..(c + 1) * trained];
+            out[c].extend_from_slice(&seg[..take]);
+            cols.push(seg.to_vec());
+        }
+        work.append(&TimeSeriesFrame::from_columns(cols));
+        if work.len() > lookback.saturating_mul(4) {
+            work = work.tail(lookback);
+        }
+        produced += take;
+    }
+    Ok(out)
+}
 
 /// Which regressor backs the window pipeline (determines the display name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,29 +151,10 @@ impl Forecaster for WindowRegressorPipeline {
     fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
         let model = self.model.as_ref().ok_or(PipelineError::NotFitted)?;
         let tail = self.train_tail.as_ref().ok_or(PipelineError::NotFitted)?;
-        let n_series = tail.n_series();
-        let mut work = tail.clone();
-        let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); n_series];
-        for _ in 0..horizon {
-            let features = latest_window(&work, self.lookback)
-                .ok_or_else(|| PipelineError::InvalidInput("window unavailable".into()))?;
-            let step = model.predict_row(&features); // one value per series
-            for (c, &v) in step.iter().enumerate() {
-                out[c].push(v);
-            }
-            work.append(&TimeSeriesFrame::from_columns(
-                step.iter().map(|&v| vec![v]).collect(),
-            ));
-            // keep the working frame bounded
-            if work.len() > 4 * self.lookback {
-                work = work.tail(self.lookback);
-            }
-        }
-        let mut f = TimeSeriesFrame::from_columns(out);
-        if f.n_series() == self.names.len() {
-            f = f.with_names(self.names.clone());
-        }
-        Ok(f)
+        let out = recursive_window_forecast(tail, self.lookback, 1, horizon, |x, _| {
+            model.predict_row(x) // one value per series
+        })?;
+        Ok(forecast_frame(&self.names, out))
     }
 
     fn name(&self) -> String {
