@@ -15,7 +15,7 @@
 use autoai_bench::evaluate_forecaster;
 use autoai_datasets::univariate_catalog;
 use autoai_lookback::{discover_univariate, seasonal_periods, LookbackConfig};
-use autoai_pipelines::WindowRegressorPipeline;
+use autoai_pipelines::WindowPipeline;
 use autoai_tsdata::Frequency;
 
 /// Table 1 plus the §4.1 discovery demonstration.
@@ -97,7 +97,7 @@ fn main() {
         )[0];
 
         let eval_lb = |lb: usize| -> f64 {
-            let p = WindowRegressorPipeline::random_forest(lb);
+            let p = WindowPipeline::random_forest(lb);
             evaluate_forecaster(Box::new(p), &frame, horizon)
                 .smape
                 .unwrap_or(f64::INFINITY)

@@ -27,7 +27,6 @@ pub mod weighted_ensemble;
 pub mod window_pipeline;
 
 pub use caching::{cached_flatten, cached_frame_op, cached_localized_flatten};
-pub use ensemble::{AutoEnsembler, EnsembleMode};
 pub use interval::{
     predict_interval_or_conformal, ConformalCalibration, IntervalForecast, IntervalSource,
     DEFAULT_LEVELS,
@@ -36,9 +35,9 @@ pub use registry::{
     default_pipelines, extended_pipelines, pipeline_by_name, PipelineContext, PIPELINE_NAMES,
 };
 pub use stat_pipelines::{
-    ArPipeline, ArimaPipeline, BatsPipeline, GarchPipeline, HoltWintersPipeline, Mt2rForecaster,
-    NeuralPipeline, SeasonalNaivePipeline, ThetaPipeline, ZeroModelPipeline,
+    ArPipeline, ArimaPipeline, BatsPipeline, GarchPipeline, HoltWintersPipeline,
+    SeasonalNaivePipeline, ThetaPipeline, ZeroModelPipeline,
 };
 pub use traits::{Forecaster, PipelineError};
 pub use weighted_ensemble::EnsembleForecaster;
-pub use window_pipeline::WindowRegressorPipeline;
+pub use window_pipeline::WindowPipeline;

@@ -2,13 +2,12 @@
 //! instantiates (§4: "Currently, pre-composed pipelines are instantiated but
 //! the system can also dynamically generate new pipelines").
 
-use crate::ensemble::AutoEnsembler;
 use crate::stat_pipelines::{
-    ArPipeline, ArimaPipeline, BatsPipeline, GarchPipeline, HoltWintersPipeline, Mt2rForecaster,
-    NeuralPipeline, SeasonalNaivePipeline, ThetaPipeline, ZeroModelPipeline,
+    ArPipeline, ArimaPipeline, BatsPipeline, GarchPipeline, HoltWintersPipeline,
+    SeasonalNaivePipeline, ThetaPipeline, ZeroModelPipeline,
 };
 use crate::traits::Forecaster;
-use crate::window_pipeline::WindowRegressorPipeline;
+use crate::window_pipeline::WindowPipeline;
 
 /// Everything a pipeline needs to be instantiated: the discovered look-back
 /// window, the user's prediction horizon, and the discovered seasonal
@@ -71,25 +70,25 @@ pub fn pipeline_by_name(name: &str, ctx: &PipelineContext) -> Option<Box<dyn For
     let h = ctx.horizon;
     let m = ctx.primary_period();
     let p: Box<dyn Forecaster> = match name {
-        "FlattenAutoEnsembler-log" => Box::new(AutoEnsembler::flatten(lb, h, true)),
-        "FlattenAutoEnsembler" => Box::new(AutoEnsembler::flatten(lb, h, false)),
-        "WindowRandomForest" => Box::new(WindowRegressorPipeline::random_forest(lb)),
-        "WindowSVR" => Box::new(WindowRegressorPipeline::svr(lb)),
-        "MT2RForecaster" => Box::new(Mt2rForecaster::new(lb, h)),
+        "FlattenAutoEnsembler-log" => Box::new(WindowPipeline::flatten(lb, h, true)),
+        "FlattenAutoEnsembler" => Box::new(WindowPipeline::flatten(lb, h, false)),
+        "WindowRandomForest" => Box::new(WindowPipeline::random_forest(lb)),
+        "WindowSVR" => Box::new(WindowPipeline::svr(lb)),
+        "MT2RForecaster" => Box::new(WindowPipeline::mt2r(lb, h)),
         "bats" => Box::new(BatsPipeline::new(ctx.seasonal_periods.clone())),
         "DifferenceFlattenAutoEnsembler-log" => {
-            Box::new(AutoEnsembler::difference_flatten(lb, h, true))
+            Box::new(WindowPipeline::difference_flatten(lb, h, true))
         }
         "DifferenceFlattenAutoEnsembler" => {
-            Box::new(AutoEnsembler::difference_flatten(lb, h, false))
+            Box::new(WindowPipeline::difference_flatten(lb, h, false))
         }
-        "LocalizedFlattenAutoEnsembler" => Box::new(AutoEnsembler::localized_flatten(lb, h)),
+        "LocalizedFlattenAutoEnsembler" => Box::new(WindowPipeline::localized_flatten(lb, h)),
         "Arima" => Box::new(ArimaPipeline::new(m)),
         "HW-Additive" => Box::new(HoltWintersPipeline::additive(m)),
         "HW-Multiplicative" => Box::new(HoltWintersPipeline::multiplicative(m)),
         "ZeroModel" => Box::new(ZeroModelPipeline::new()),
         "Theta" => Box::new(ThetaPipeline::new()),
-        "NeuralWindow" => Box::new(NeuralPipeline::new(lb, h)),
+        "NeuralWindow" => Box::new(WindowPipeline::neural(lb, h)),
         "AR" => Box::new(ArPipeline::new(lb.clamp(1, 8))),
         "Garch" => Box::new(GarchPipeline::new()),
         "SeasonalNaive" => Box::new(SeasonalNaivePipeline::new(if m >= 2 { m } else { lb })),
@@ -104,7 +103,7 @@ pub fn extended_pipelines(ctx: &PipelineContext) -> Vec<Box<dyn Forecaster>> {
     let mut out = default_pipelines(ctx);
     out.push(Box::new(ZeroModelPipeline::new()));
     out.push(Box::new(ThetaPipeline::new()));
-    out.push(Box::new(NeuralPipeline::new(ctx.lookback, ctx.horizon)));
+    out.push(Box::new(WindowPipeline::neural(ctx.lookback, ctx.horizon)));
     out.push(Box::new(ArPipeline::new(ctx.lookback.clamp(1, 8))));
     out.push(Box::new(GarchPipeline::new()));
     out.push(Box::new(SeasonalNaivePipeline::new(
@@ -113,25 +112,25 @@ pub fn extended_pipelines(ctx: &PipelineContext) -> Vec<Box<dyn Forecaster>> {
     // look-back variations of the window pipelines
     for factor in [2usize, 4] {
         let lb = (ctx.lookback * factor).max(4);
-        out.push(Box::new(WindowRegressorPipeline::random_forest(lb)));
-        out.push(Box::new(WindowRegressorPipeline::svr(lb)));
-        out.push(Box::new(AutoEnsembler::flatten(lb, ctx.horizon, true)));
-        out.push(Box::new(AutoEnsembler::flatten(lb, ctx.horizon, false)));
-        out.push(Box::new(AutoEnsembler::difference_flatten(
+        out.push(Box::new(WindowPipeline::random_forest(lb)));
+        out.push(Box::new(WindowPipeline::svr(lb)));
+        out.push(Box::new(WindowPipeline::flatten(lb, ctx.horizon, true)));
+        out.push(Box::new(WindowPipeline::flatten(lb, ctx.horizon, false)));
+        out.push(Box::new(WindowPipeline::difference_flatten(
             lb,
             ctx.horizon,
             false,
         )));
-        out.push(Box::new(AutoEnsembler::localized_flatten(lb, ctx.horizon)));
-        out.push(Box::new(Mt2rForecaster::new(lb, ctx.horizon)));
+        out.push(Box::new(WindowPipeline::localized_flatten(lb, ctx.horizon)));
+        out.push(Box::new(WindowPipeline::mt2r(lb, ctx.horizon)));
     }
     // no-log variants at the base look-back
-    out.push(Box::new(AutoEnsembler::flatten(
+    out.push(Box::new(WindowPipeline::flatten(
         ctx.lookback,
         ctx.horizon,
         false,
     )));
-    out.push(Box::new(AutoEnsembler::difference_flatten(
+    out.push(Box::new(WindowPipeline::difference_flatten(
         ctx.lookback,
         ctx.horizon,
         false,

@@ -1,31 +1,24 @@
-//! Pipelines wrapping the statistical models (one model per series) plus
-//! the fast linear MT2RForecaster and the neural pipeline.
+//! Pipelines wrapping the statistical models (one model per series).
 //!
 //! Every per-series statistical pipeline is one [`PerSeries`] over the
 //! model it fits to each series; the public pipeline names
 //! ([`ArimaPipeline`], [`BatsPipeline`], …) are aliases of it.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use autoai_linalg::parallel_try_map_range;
-use autoai_ml_models::{LinearRegression, MultiOutputRegressor};
-use autoai_neural::{Loss, Mlp, MlpConfig};
 use autoai_stat_models::{
     auto_arima_seeded_with_deadline, auto_arima_with_deadline, Arima, Bats, BatsConfig, FitError,
     Garch, HoltWinters, IncrementalAr, SeasonalNaive, Seasonality, ThetaModel, ZeroModel,
 };
-use autoai_transforms::TransformCache;
 use autoai_tsdata::{FrameFingerprint, TimeSeriesFrame};
 
-use crate::caching::cached_flatten;
 use crate::interval::{IntervalForecast, IntervalSource};
 use crate::traits::{Forecaster, PipelineError};
-use crate::window_pipeline::recursive_window_forecast;
 
 use series::{Growth, SeriesModel};
 
-pub(crate) fn forecast_frame(names: &[String], forecasts: Vec<Vec<f64>>) -> TimeSeriesFrame {
+fn forecast_frame(names: &[String], forecasts: Vec<Vec<f64>>) -> TimeSeriesFrame {
     let mut f = TimeSeriesFrame::from_columns(forecasts);
     if f.n_series() == names.len() {
         f = f.with_names(names.to_vec());
@@ -54,7 +47,7 @@ fn fit_per_series<M: Send>(
 /// same unit draw the same fault, preserving cached==uncached ranking parity
 /// under injection. [`ZeroModelPipeline`] deliberately has no gate: it is the
 /// degradation ladder's last rung and must stay fault-free by construction.
-fn chaos_fit_gate(pipeline: &str, len: usize) -> Result<(), PipelineError> {
+pub(crate) fn chaos_fit_gate(pipeline: &str, len: usize) -> Result<(), PipelineError> {
     if !autoai_chaos::enabled() {
         return Ok(());
     }
@@ -80,7 +73,11 @@ fn chaos_fit_gate(pipeline: &str, len: usize) -> Result<(), PipelineError> {
 /// (the scorer turns it into a NaN score, exercising the ranking's NaN
 /// handling). Keyed on name and horizon only, for the same determinism
 /// reasons as [`chaos_fit_gate`].
-fn chaos_predict_gate(pipeline: &str, horizon: usize, n_series: usize) -> Option<TimeSeriesFrame> {
+pub(crate) fn chaos_predict_gate(
+    pipeline: &str,
+    horizon: usize,
+    n_series: usize,
+) -> Option<TimeSeriesFrame> {
     if !autoai_chaos::enabled() {
         return None;
     }
@@ -104,7 +101,7 @@ fn chaos_predict_gate(pipeline: &str, horizon: usize, n_series: usize) -> Option
 /// validation rejects the band and the interval ladder degrades to the
 /// conformal fallback. [`ZeroModelPipeline`] deliberately has no gate — its
 /// intervals are the ladder's floor.
-fn chaos_interval_gate(pipeline: &str, horizon: usize) -> Result<bool, PipelineError> {
+pub(crate) fn chaos_interval_gate(pipeline: &str, horizon: usize) -> Result<bool, PipelineError> {
     if !autoai_chaos::enabled() {
         return Ok(false);
     }
@@ -878,219 +875,6 @@ impl SeriesModel for (Garch, f64) {
     }
 }
 
-/// MT2RForecaster: multi-target regression — a single direct multi-output
-/// linear regression over flattened look-back windows. The fastest ML
-/// pipeline in Table 6 (sub-second on every dataset) and a strong baseline
-/// on near-linear series.
-pub struct Mt2rForecaster {
-    /// Look-back window length.
-    pub lookback: usize,
-    /// Direct forecast horizon trained for.
-    pub horizon: usize,
-    model: Option<MultiOutputRegressor>,
-    train_tail: Option<TimeSeriesFrame>,
-    names: Vec<String>,
-    cache: Option<Arc<TransformCache>>,
-}
-
-impl Mt2rForecaster {
-    /// New MT2R with the given look-back and direct horizon.
-    pub fn new(lookback: usize, horizon: usize) -> Self {
-        Self {
-            lookback: lookback.max(1),
-            horizon: horizon.max(1),
-            model: None,
-            train_tail: None,
-            names: Vec::new(),
-            cache: None,
-        }
-    }
-}
-
-impl Forecaster for Mt2rForecaster {
-    fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        chaos_fit_gate("MT2RForecaster", frame.len())?;
-        self.names = frame.names().to_vec();
-        // shrink look-back for short series so at least 4 windows exist
-        let max_lb = frame.len().saturating_sub(self.horizon + 4).max(1);
-        self.lookback = self.lookback.min(max_lb);
-        let ds = cached_flatten(self.cache.as_ref(), frame, self.lookback, self.horizon);
-        if ds.is_empty() {
-            return Err(PipelineError::InvalidInput(format!(
-                "series of length {} too short for lookback {} + horizon {}",
-                frame.len(),
-                self.lookback,
-                self.horizon
-            )));
-        }
-        let mut model = MultiOutputRegressor::new(Box::new(LinearRegression::new()));
-        model
-            .fit(&ds.x, &ds.y)
-            .map_err(|e| PipelineError::Fit(e.message))?;
-        self.model = Some(model);
-        self.train_tail = Some(frame.tail(self.lookback + self.horizon).into_owned());
-        Ok(())
-    }
-
-    fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        let model = self.model.as_ref().ok_or(PipelineError::NotFitted)?;
-        let tail = self.train_tail.as_ref().ok_or(PipelineError::NotFitted)?;
-        if let Some(poisoned) = chaos_predict_gate("MT2RForecaster", horizon, tail.n_series()) {
-            return Ok(poisoned);
-        }
-        let out = recursive_window_forecast(tail, self.lookback, self.horizon, horizon, |x, _| {
-            model.predict_row(x)
-        })?;
-        Ok(forecast_frame(&self.names, out))
-    }
-
-    fn name(&self) -> String {
-        "MT2RForecaster".into()
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        Box::new(Self::new(self.lookback, self.horizon))
-    }
-
-    fn set_transform_cache(&mut self, cache: Option<Arc<TransformCache>>) {
-        self.cache = cache;
-    }
-}
-
-/// Deep-learning pipeline: a direct multi-step MLP over flattened windows.
-///
-/// Deliberately has **no** `fit_incremental` warm start: continued SGD from
-/// previous weights lands in a different optimum than a cold fit, and the
-/// holdout-score drift is large enough to violate the executor's
-/// rank-stability contract (unlike the seeded statistical fits, there is no
-/// cheap way to bound the divergence).
-pub struct NeuralPipeline {
-    /// Look-back window length.
-    pub lookback: usize,
-    /// Direct forecast horizon trained for.
-    pub horizon: usize,
-    config: MlpConfig,
-    model: Option<Mlp>,
-    /// Gaussian-NLL head: a second MLP trained with heteroscedastic loss;
-    /// only its dispersion output is used, the point forecast stays the
-    /// MSE model's.
-    nll: Option<Mlp>,
-    train_tail: Option<TimeSeriesFrame>,
-    names: Vec<String>,
-    cache: Option<Arc<TransformCache>>,
-}
-
-impl NeuralPipeline {
-    /// New neural pipeline with default MLP hyperparameters.
-    pub fn new(lookback: usize, horizon: usize) -> Self {
-        Self {
-            lookback: lookback.max(1),
-            horizon: horizon.max(1),
-            config: MlpConfig {
-                epochs: 40,
-                ..Default::default()
-            },
-            model: None,
-            nll: None,
-            train_tail: None,
-            names: Vec::new(),
-            cache: None,
-        }
-    }
-}
-
-impl Forecaster for NeuralPipeline {
-    fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
-        self.names = frame.names().to_vec();
-        let max_lb = frame.len().saturating_sub(self.horizon + 4).max(1);
-        self.lookback = self.lookback.min(max_lb);
-        let ds = cached_flatten(self.cache.as_ref(), frame, self.lookback, self.horizon);
-        if ds.is_empty() {
-            return Err(PipelineError::InvalidInput(
-                "series too short for neural windows".into(),
-            ));
-        }
-        let mut mlp = Mlp::new(self.config.clone());
-        mlp.fit(&ds.x, &ds.y)
-            .map_err(|e| PipelineError::Fit(e.message))?;
-        self.model = Some(mlp);
-        // uncertainty head at reduced epochs; a failed head is not fatal —
-        // predict_interval errors and the caller conformal-wraps instead
-        let mut nll = Mlp::new(MlpConfig {
-            loss: Loss::GaussianNll,
-            epochs: (self.config.epochs / 2).max(10),
-            ..self.config.clone()
-        });
-        self.nll = match nll.fit(&ds.x, &ds.y) {
-            Ok(()) => Some(nll),
-            Err(_) => None,
-        };
-        self.train_tail = Some(frame.tail(self.lookback + self.horizon).into_owned());
-        Ok(())
-    }
-
-    fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        let model = self.model.as_ref().ok_or(PipelineError::NotFitted)?;
-        let tail = self.train_tail.as_ref().ok_or(PipelineError::NotFitted)?;
-        let out = recursive_window_forecast(tail, self.lookback, self.horizon, horizon, |x, _| {
-            model.predict_row(x)
-        })?;
-        Ok(forecast_frame(&self.names, out))
-    }
-
-    fn predict_interval(
-        &self,
-        horizon: usize,
-        levels: &[f64],
-    ) -> Result<IntervalForecast, PipelineError> {
-        let model = self.model.as_ref().ok_or(PipelineError::NotFitted)?;
-        let tail = self.train_tail.as_ref().ok_or(PipelineError::NotFitted)?;
-        let nll = self
-            .nll
-            .as_ref()
-            .ok_or_else(|| PipelineError::InvalidInput("Gaussian-NLL head unavailable".into()))?;
-        let poison = chaos_interval_gate("NeuralWindow", horizon)?;
-        // same recursion as `predict` for the point path; the NLL head runs
-        // on the identical features and contributes only the dispersion
-        let trained = self.horizon;
-        let mut stds: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); tail.n_series()];
-        let out = recursive_window_forecast(tail, self.lookback, trained, horizon, |x, take| {
-            let dist = nll.predict_distribution(x);
-            for (c, sd) in stds.iter_mut().enumerate() {
-                let dseg = &dist[c * trained..(c + 1) * trained];
-                sd.extend(dseg.iter().take(take).map(
-                    |(_, s)| {
-                        if poison {
-                            f64::NAN
-                        } else {
-                            s.abs()
-                        }
-                    },
-                ));
-            }
-            model.predict_row(x)
-        })?;
-        IntervalForecast::from_gaussian(
-            forecast_frame(&self.names, out),
-            levels,
-            &stds,
-            IntervalSource::Native,
-        )
-    }
-
-    fn name(&self) -> String {
-        "NeuralWindow".into()
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        Box::new(Self::new(self.lookback, self.horizon))
-    }
-
-    fn set_transform_cache(&mut self, cache: Option<Arc<TransformCache>>) {
-        self.cache = cache;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1166,56 +950,10 @@ mod tests {
     }
 
     #[test]
-    fn mt2r_learns_seasonal_linear_structure() {
-        let mut p = Mt2rForecaster::new(12, 6);
-        let frame = seasonal_frame(200);
-        p.fit(&frame).unwrap();
-        let f = p.predict(6).unwrap();
-        let truth: Vec<f64> = (200..206)
-            .map(|i| 20.0 + 5.0 * (2.0 * std::f64::consts::PI * i as f64 / 12.0).sin())
-            .collect();
-        let smape = autoai_tsdata::smape(&truth, f.series(0));
-        assert!(smape < 3.0, "mt2r smape {smape}");
-    }
-
-    #[test]
-    fn mt2r_extends_beyond_trained_horizon_recursively() {
-        let mut p = Mt2rForecaster::new(12, 4);
-        p.fit(&seasonal_frame(200)).unwrap();
-        let f = p.predict(10).unwrap();
-        assert_eq!(f.len(), 10);
-        assert!(f.series(0).iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn mt2r_shrinks_lookback_for_short_series() {
-        let mut p = Mt2rForecaster::new(50, 2);
-        p.fit(&TimeSeriesFrame::univariate(
-            (0..30).map(|i| i as f64).collect(),
-        ))
-        .unwrap();
-        assert!(p.lookback < 50);
-        let f = p.predict(2).unwrap();
-        assert!(f.series(0)[0] > 25.0);
-    }
-
-    #[test]
     fn theta_pipeline_runs() {
         let mut p = ThetaPipeline::new();
         p.fit(&seasonal_frame(100)).unwrap();
         assert_eq!(p.predict(5).unwrap().len(), 5);
-    }
-
-    #[test]
-    fn neural_pipeline_fits_seasonal() {
-        let mut p = NeuralPipeline::new(12, 4);
-        p.fit(&seasonal_frame(300)).unwrap();
-        let f = p.predict(4).unwrap();
-        let truth: Vec<f64> = (300..304)
-            .map(|i| 20.0 + 5.0 * (2.0 * std::f64::consts::PI * i as f64 / 12.0).sin())
-            .collect();
-        let smape = autoai_tsdata::smape(&truth, f.series(0));
-        assert!(smape < 15.0, "neural smape {smape}");
     }
 
     /// Calls the generic `$check(pipeline, name)` once for a fresh instance
@@ -1245,10 +983,6 @@ mod tests {
     #[test]
     fn predict_before_fit_errors() {
         for_each_per_series!(assert_unfitted_refuses);
-        assert!(matches!(
-            Mt2rForecaster::new(4, 2).predict(3),
-            Err(PipelineError::NotFitted)
-        ));
     }
 
     fn assert_clone_keeps_name_and_budget<M: SeriesModel>(mut p: PerSeries<M>, name: &str) {
@@ -1541,22 +1275,6 @@ mod tests {
                 (0..10).map(|i| i as f64).collect()
             ))
             .is_err());
-    }
-
-    #[test]
-    fn neural_pipeline_interval_uses_nll_head() {
-        let mut p = NeuralPipeline::new(12, 4);
-        p.fit(&seasonal_frame(300)).unwrap();
-        let iv = p
-            .predict_interval(6, &crate::interval::DEFAULT_LEVELS)
-            .unwrap();
-        assert_eq!(iv.source(), IntervalSource::Native);
-        assert_eq!(iv.horizon(), 6);
-        let (lo, hi) = iv.band(1).unwrap();
-        for t in 0..6 {
-            assert!(lo.series(0)[t].is_finite() && hi.series(0)[t].is_finite());
-            assert!(lo.series(0)[t] <= hi.series(0)[t]);
-        }
     }
 
     #[test]

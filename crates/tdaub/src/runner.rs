@@ -500,7 +500,7 @@ pub fn run_tdaub_with_cache(
 mod tests {
     use super::*;
     use crate::executor::FailureKind;
-    use autoai_pipelines::{Mt2rForecaster, ThetaPipeline, ZeroModelPipeline};
+    use autoai_pipelines::{ThetaPipeline, WindowPipeline, ZeroModelPipeline};
 
     fn seasonal_frame(n: usize) -> TimeSeriesFrame {
         TimeSeriesFrame::univariate(
@@ -513,7 +513,7 @@ mod tests {
     fn pool() -> Vec<Box<dyn Forecaster>> {
         vec![
             Box::new(ZeroModelPipeline::new()),
-            Box::new(Mt2rForecaster::new(12, 6)),
+            Box::new(WindowPipeline::mt2r(12, 6)),
             Box::new(ThetaPipeline::new()),
         ]
     }

@@ -258,6 +258,8 @@ impl Default for Config {
                 "crates/pipelines/src/registry.rs".to_string(),
                 "crates/pipelines/src/interval.rs".to_string(),
                 "crates/pipelines/src/weighted_ensemble.rs".to_string(),
+                "crates/pipelines/src/window_pipeline.rs".to_string(),
+                "crates/pipelines/src/ensemble.rs".to_string(),
                 "crates/transforms/src/conformal.rs".to_string(),
                 "crates/tsdata/src/metrics.rs".to_string(),
                 "crates/chaos/src/".to_string(),
@@ -1538,6 +1540,8 @@ mod tests {
             "crates/pipelines/src/registry.rs",
             "crates/pipelines/src/interval.rs",
             "crates/pipelines/src/weighted_ensemble.rs",
+            "crates/pipelines/src/window_pipeline.rs",
+            "crates/pipelines/src/ensemble.rs",
             "crates/transforms/src/conformal.rs",
             "crates/tsdata/src/metrics.rs",
         ] {
