@@ -6,9 +6,9 @@ use autoai_lookback::{
     discover_multivariate, discover_univariate, LookbackConfig, MultivariateMode,
 };
 use autoai_pipelines::{
-    default_pipelines, pipeline_by_name, predict_interval_or_conformal, ConformalCalibration,
-    EnsembleForecaster, Forecaster, IntervalForecast, IntervalSource, PipelineContext,
-    PipelineError, ZeroModelPipeline,
+    default_pipelines, pipeline_by_name, predict_interval_or_conformal, score_forecast,
+    ConformalCalibration, EnsembleForecaster, Forecaster, IntervalForecast, IntervalSource,
+    PipelineContext, PipelineError, ZeroModelPipeline,
 };
 use autoai_tdaub::{
     run_tdaub_with_cache, EnsembleSelection, ExecutionReport, PipelineReport, TDaubConfig,
@@ -64,15 +64,16 @@ impl Default for AutoAITSConfig {
 /// erroring, or timing out — degrade the result instead of failing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationLevel {
-    /// The full pool ran: every pipeline survived T-Daub and the winner
-    /// retrained cleanly.
+    /// The full pool ran: every pipeline survived T-Daub and the promoted
+    /// ensemble or the winner retrained cleanly.
     None,
     /// Part of the pool was lost (excluded pipelines, or the T-Daub winner
     /// failed its final refit and a ranked runner-up took over), but a
     /// genuinely selected pipeline is serving forecasts.
     Survivors,
-    /// Every pipeline failed; forecasts come from the ZeroModel baseline,
-    /// the ladder's fault-free bottom rung.
+    /// Every pipeline (or every rung above the baseline) failed; forecasts
+    /// come from the ZeroModel baseline, the ladder's fault-free bottom
+    /// rung.
     ZeroModel,
 }
 
@@ -100,9 +101,11 @@ pub struct FitSummary {
     /// Execution accounting for the whole pool — wall time, allocations
     /// attempted, and the failure kind for every excluded pipeline.
     pub execution: ExecutionReport,
-    /// Name of the winning pipeline.
+    /// Name of the serving forecaster: the serving ladder's first rung
+    /// that passed.
     pub best_pipeline: String,
-    /// SMAPE of the winner on the 20% holdout.
+    /// SMAPE on the 20% holdout of the served forecaster (ensemble,
+    /// winner, runner-up or ZeroModel), as fitted on the train split.
     pub holdout_smape: f64,
     /// Greedy forward ensemble selection over the top T-Daub survivors:
     /// member weights and contributions, when the survivor pool allowed a
@@ -121,10 +124,8 @@ struct FittedState {
     zero_model: ZeroModelPipeline,
     summary: FitSummary,
     n_series: usize,
-    /// Per-series holdout residual standard deviation (interval width).
-    residual_std: Vec<f64>,
-    /// Split-conformal calibration from the train-fitted winner's holdout
-    /// residuals; `None` when the winner could not predict the holdout.
+    /// Split-conformal calibration from the served rung's own train-fitted
+    /// holdout residuals; `None` when it could not predict the holdout.
     conformal: Option<ConformalCalibration>,
 }
 
@@ -344,22 +345,20 @@ impl AutoAITS {
             tdaub_cfg.min_allocation_size = unit;
             tdaub_cfg.allocation_size = unit;
         }
-        // ---- 6. degradation ladder: full pool → survivors → ZeroModel ----
-        // From here on, pipeline failures can no longer fail the fit: a
-        // T-Daub run with survivors serves the ranked winner (walking down
-        // the ranking when the winner's final refit fails), and a run where
-        // *everything* failed serves the ZeroModel baseline.
-        let (
-            best,
-            reports,
-            execution,
-            holdout_smape,
-            residual_std,
-            conformal,
-            ensemble,
-            degradation,
-        ) = match run_tdaub_with_cache(pipelines, &train, &tdaub_cfg, self.transform_cache.clone())
-        {
+        // ---- 6. serving ladder: ensemble → winner → runner-ups → ZeroModel ----
+        // From here on, pipeline failures can no longer fail the fit. Every
+        // rung is judged the same way (`judge`): its train-fitted state makes
+        // one holdout forecast, which gives both its `holdout_smape` and its
+        // conformal calibration. The first rung whose full-data refit
+        // succeeds serves; a run where *everything* failed during ranking
+        // has the ZeroModel rung alone.
+        let zero_rung = || {
+            let zero = trained(Box::new(ZeroModelPipeline::new()), &train)?;
+            Some(judge(zero, &holdout, DegradationLevel::ZeroModel))
+        };
+        let tdaub =
+            run_tdaub_with_cache(pipelines, &train, &tdaub_cfg, self.transform_cache.clone());
+        let (served, reports, execution, ensemble) = match tdaub {
             Ok(result) => {
                 for failed in result.execution.failures() {
                     self.progress.report(&ProgressEvent::PipelineExcluded {
@@ -376,113 +375,63 @@ impl AutoAITS {
                     evaluations: result.execution.total_allocations(),
                     failures: result.execution.failures().count(),
                 });
-
-                let mut holdout_smape = result
-                    .best
-                    .score(&holdout, Metric::Smape)
-                    .unwrap_or(f64::INFINITY);
-                self.progress.report(&ProgressEvent::HoldoutScored {
-                    smape: holdout_smape,
-                });
-                let mut residual_std = residual_spread(result.best.as_ref(), &holdout);
-                // calibrate the conformal wrap while the winner is still
-                // the *train*-fitted state (split conformal needs the
-                // holdout untouched by the serving fit)
-                let mut conformal = ConformalCalibration::calibrate(result.best.as_ref(), &holdout);
-                let ensemble = result.ensemble.clone();
-
-                let mut degradation = if result.execution.failures().next().is_some()
-                    || result.execution.run_deadline_hit
-                {
-                    // a run truncated by the whole-run hard deadline serves
-                    // ranked survivors from partial evidence — surface that
-                    // exactly like a partially-lost pool
+                // a run truncated by the whole-run hard deadline serves
+                // ranked survivors from partial evidence — surface that
+                // exactly like a partially-lost pool
+                let pool_lost = result.execution.failures().next().is_some()
+                    || result.execution.run_deadline_hit;
+                let top = if pool_lost {
                     DegradationLevel::Survivors
                 } else {
                     DegradationLevel::None
                 };
+                // T-Daub already fitted the winner on the train split
+                let winner = judge(result.best, &holdout, top);
+                self.progress.report(&ProgressEvent::HoldoutScored {
+                    smape: winner.holdout_smape,
+                });
                 // the greedy-selected ensemble gets first claim on the
-                // serving slot; it is kept only when its own holdout
-                // score is no worse than the single winner's
-                let promoted = ensemble
+                // serving slot when its holdout score is no worse than the
+                // winner's
+                let bar = winner.holdout_smape;
+                let promoted = result
+                    .ensemble
                     .as_ref()
                     .filter(|sel| sel.members.len() >= 2)
                     .and_then(|sel| {
-                        fit_ensemble_winner(sel, &ctx, &train, &holdout, &data, holdout_smape)
-                    });
-                let best = match promoted {
-                    Some(promo) => {
-                        holdout_smape = promo.holdout_smape;
-                        residual_std = promo.residual_std;
-                        conformal = promo.conformal;
-                        promo.forecaster
-                    }
-                    None => {
-                        // full-data retraining, panic-isolated; when the
-                        // winner fails its refit, the ranked runners-up
-                        // each get one rung before the ladder hits the
-                        // baseline
-                        let mut best = result.best.clone_unfitted();
-                        if rung_fit(&mut best, &data).is_err() {
-                            degradation = DegradationLevel::Survivors;
-                            let runner_up = result.reports.iter().skip(1).find_map(|report| {
-                                let mut next = pipeline_by_name(&report.name, &ctx)?;
-                                rung_fit(&mut next, &data).ok().map(|()| next)
-                            });
-                            best = match runner_up {
-                                Some(b) => b,
-                                None => {
-                                    degradation = DegradationLevel::ZeroModel;
-                                    let mut zm: Box<dyn Forecaster> =
-                                        Box::new(ZeroModelPipeline::new());
-                                    zm.fit(&data)?;
-                                    zm
-                                }
-                            };
-                        }
-                        best
-                    }
-                };
-                (
-                    best,
-                    result.reports,
-                    result.execution,
-                    holdout_smape,
-                    residual_std,
-                    conformal,
-                    ensemble,
-                    degradation,
-                )
+                        let members = sel
+                            .members
+                            .iter()
+                            .map(|m| Some((pipeline_by_name(&m.name, &ctx)?, m.weight)));
+                        EnsembleForecaster::new(members.collect::<Option<_>>()?).ok()
+                    })
+                    .and_then(|ens| trained(Box::new(ens), &train))
+                    .map(|ens| judge(ens, &holdout, top))
+                    .filter(|rung| rung.holdout_smape.is_finite() && rung.holdout_smape <= bar);
+                let runner_ups = result.reports.iter().skip(1).filter_map(|report| {
+                    let next = trained(pipeline_by_name(&report.name, &ctx)?, &train)?;
+                    Some(judge(next, &holdout, DegradationLevel::Survivors))
+                });
+                let served = promoted
+                    .into_iter()
+                    .chain(std::iter::once(winner))
+                    .chain(runner_ups)
+                    .chain(std::iter::once_with(zero_rung).flatten())
+                    .find_map(|rung| rung.refit(&data));
+                (served, result.reports, result.execution, result.ensemble)
             }
             Err(_) => {
-                // every pipeline failed during ranking; the system must
-                // still forecast. Score the baseline honestly (fit on
-                // the training split, scored on the holdout) and serve
-                // a full-data ZeroModel.
-                let mut scored = ZeroModelPipeline::new();
-                scored.fit(&train)?;
-                let holdout_smape = scored
-                    .score(&holdout, Metric::Smape)
-                    .unwrap_or(f64::INFINITY);
+                let zero = zero_rung();
                 self.progress.report(&ProgressEvent::HoldoutScored {
-                    smape: holdout_smape,
+                    smape: zero.as_ref().map_or(f64::INFINITY, |r| r.holdout_smape),
                 });
-                let residual_std = residual_spread(&scored, &holdout);
-                let conformal = ConformalCalibration::calibrate(&scored, &holdout);
-                let mut best: Box<dyn Forecaster> = Box::new(ZeroModelPipeline::new());
-                best.fit(&data)?;
-                (
-                    best,
-                    Vec::new(),
-                    ExecutionReport::default(),
-                    holdout_smape,
-                    residual_std,
-                    conformal,
-                    None,
-                    DegradationLevel::ZeroModel,
-                )
+                let served = zero.and_then(|rung| rung.refit(&data));
+                (served, Vec::new(), ExecutionReport::default(), None)
             }
         };
+        let served = served
+            .ok_or_else(|| PipelineError::Fit("every rung of the serving ladder failed".into()))?;
+        let degradation = served.level;
         if degradation != DegradationLevel::None {
             self.progress
                 .report(&ProgressEvent::Degraded { level: degradation });
@@ -493,21 +442,20 @@ impl AutoAITS {
             quality,
             lookback,
             seasonal_periods,
-            best_pipeline: best.name(),
+            best_pipeline: served.forecaster.name(),
             reports,
             execution,
-            holdout_smape,
+            holdout_smape: served.holdout_smape,
             ensemble,
             degradation,
             fit_seconds: started.elapsed().as_secs_f64(),
         };
         self.state = Some(FittedState {
-            best,
+            best: served.forecaster,
             zero_model,
             summary,
             n_series: data.n_series(),
-            residual_std,
-            conformal,
+            conformal: served.conformal,
         });
         Ok(self)
     }
@@ -521,34 +469,6 @@ impl AutoAITS {
     /// Forecast as a row-major 2-D array (`horizon x n_series`).
     pub fn predict_rows(&self, horizon: usize) -> Result<Vec<Vec<f64>>, PipelineError> {
         Ok(self.predict(horizon)?.to_rows())
-    }
-
-    /// Forecast with per-series `±z`-sigma prediction intervals derived from
-    /// the holdout residual spread. Returns, per series, a vector of
-    /// `(point, lower, upper)` triples. Interval width grows with the step
-    /// index by `sqrt(h)` (random-walk style error accumulation).
-    pub fn predict_with_interval(
-        &self,
-        horizon: usize,
-        z: f64,
-    ) -> Result<Vec<Vec<(f64, f64, f64)>>, PipelineError> {
-        let state = self.state.as_ref().ok_or(PipelineError::NotFitted)?;
-        let point = state.best.predict(horizon.max(1))?;
-        let out = (0..point.n_series())
-            .map(|c| {
-                let sd = state.residual_std.get(c).copied().unwrap_or(f64::NAN);
-                point
-                    .series(c)
-                    .iter()
-                    .enumerate()
-                    .map(|(h, &p)| {
-                        let w = z * sd * ((h + 1) as f64).sqrt();
-                        (p, p - w, p + w)
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(out)
     }
 
     /// Forecast with monotone, non-crossing quantile bands at the requested
@@ -602,86 +522,65 @@ impl AutoAITS {
     }
 }
 
-/// One rung of the degradation ladder: a full-data refit with the same
-/// panic isolation as every T-Daub unit of work. `AssertUnwindSafe` is
-/// sound because a panicked rung's pipeline is discarded, never queried.
-fn rung_fit(
-    pipeline: &mut Box<dyn Forecaster>,
-    data: &TimeSeriesFrame,
-) -> Result<(), PipelineError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipeline.fit(data))) {
-        Ok(result) => result,
-        Err(_) => Err(PipelineError::Crashed(
-            "pipeline panicked during final refit".into(),
-        )),
-    }
-}
-
-/// A promoted ensemble winner, ready to serve.
-struct PromotedEnsemble {
+/// A serving-ladder rung judged on the holdout: a forecaster with the
+/// holdout SMAPE and conformal calibration of its own train-fitted state.
+struct Rung {
     forecaster: Box<dyn Forecaster>,
     holdout_smape: f64,
-    residual_std: Vec<f64>,
     conformal: Option<ConformalCalibration>,
+    /// The degradation level the fit reports when this rung serves.
+    level: DegradationLevel,
 }
 
-/// Try to promote the greedy-selected ensemble to the serving slot: rebuild
-/// the selected members unfitted, fit the ensemble on the training split,
-/// and keep it only when its holdout SMAPE is no worse than the single
-/// winner's. The promoted forecaster is refit on the full data behind the
-/// same panic isolation as the single-winner path; any failure along the
-/// way simply yields `None` and the single winner serves instead.
-fn fit_ensemble_winner(
-    selection: &EnsembleSelection,
-    ctx: &PipelineContext,
-    train: &TimeSeriesFrame,
+impl Rung {
+    /// Refit the rung on all of `data`, keeping its holdout numbers; `None`
+    /// when the refit fails, which sends the ladder to the next rung.
+    fn refit(self, data: &TimeSeriesFrame) -> Option<Self> {
+        Some(Self {
+            forecaster: trained(self.forecaster.clone_unfitted(), data)?,
+            ..self
+        })
+    }
+}
+
+/// Judge a train-fitted forecaster: one panic-isolated `predict` of the
+/// holdout gives both its SMAPE (`Forecaster::score`'s arithmetic; infinite
+/// when it cannot forecast) and its split-conformal calibration.
+fn judge(
+    forecaster: Box<dyn Forecaster>,
     holdout: &TimeSeriesFrame,
-    data: &TimeSeriesFrame,
-    single_smape: f64,
-) -> Option<PromotedEnsemble> {
-    let members: Vec<(Box<dyn Forecaster>, f64)> = selection
-        .members
-        .iter()
-        .filter_map(|m| pipeline_by_name(&m.name, ctx).map(|p| (p, m.weight)))
-        .collect();
-    if members.len() != selection.members.len() {
-        return None;
-    }
-    let mut ens: Box<dyn Forecaster> = Box::new(EnsembleForecaster::new(members).ok()?);
-    rung_fit(&mut ens, train).ok()?;
-    let smape = ens.score(holdout, Metric::Smape).unwrap_or(f64::INFINITY);
-    if !smape.is_finite() || smape > single_smape {
-        return None;
-    }
-    let residual_std = residual_spread(ens.as_ref(), holdout);
-    let conformal = ConformalCalibration::calibrate(ens.as_ref(), holdout);
-    let mut full = ens.clone_unfitted();
-    rung_fit(&mut full, data).ok()?;
-    Some(PromotedEnsemble {
-        forecaster: full,
-        holdout_smape: smape,
-        residual_std,
+    level: DegradationLevel,
+) -> Rung {
+    let forecast = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        forecaster.predict(holdout.len())
+    }))
+    .ok()
+    .and_then(Result::ok);
+    let holdout_smape = forecast
+        .as_ref()
+        .and_then(|pred| score_forecast(pred, holdout, Metric::Smape).ok())
+        .unwrap_or(f64::INFINITY);
+    let conformal = forecast
+        .as_ref()
+        .and_then(|pred| ConformalCalibration::from_forecast(pred, holdout));
+    Rung {
+        forecaster,
+        holdout_smape,
         conformal,
-    })
+        level,
+    }
 }
 
-/// Per-series holdout residual standard deviation (prediction-interval
-/// widths); NaN when the forecaster cannot predict the holdout's shape.
-fn residual_spread(best: &dyn Forecaster, holdout: &TimeSeriesFrame) -> Vec<f64> {
-    match best.predict(holdout.len()) {
-        Ok(pred) if pred.n_series() == holdout.n_series() => (0..holdout.n_series())
-            .map(|c| {
-                let resid: Vec<f64> = holdout
-                    .series(c)
-                    .iter()
-                    .zip(pred.series(c))
-                    .map(|(a, p)| a - p)
-                    .collect();
-                autoai_linalg::std_dev(&resid).max(1e-12)
-            })
-            .collect(),
-        _ => vec![f64::NAN; holdout.n_series()],
-    }
+/// `pipeline` fitted on `frame` with the same panic isolation as every
+/// T-Daub unit of work; `None` when the fit errors or panics.
+/// `AssertUnwindSafe` is sound because a failed rung's pipeline is
+/// discarded, never queried.
+fn trained(
+    mut pipeline: Box<dyn Forecaster>,
+    frame: &TimeSeriesFrame,
+) -> Option<Box<dyn Forecaster>> {
+    let fit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipeline.fit(frame)));
+    matches!(fit, Ok(Ok(()))).then_some(pipeline)
 }
 
 /// Seasonal-period candidates when the user supplied the look-back: run the
@@ -949,31 +848,8 @@ mod interval_tests {
     use super::*;
 
     #[test]
-    fn intervals_bracket_the_point_and_widen() {
-        let rows: Vec<Vec<f64>> = (0..300)
-            .map(|i| vec![20.0 + 5.0 * (2.0 * std::f64::consts::PI * i as f64 / 12.0).sin()])
-            .collect();
-        let mut sys = AutoAITS::with_config(AutoAITSConfig {
-            pipeline_names: Some(vec!["MT2RForecaster".into(), "ZeroModel".into()]),
-            ..Default::default()
-        });
-        sys.fit_rows(&rows).unwrap();
-        let iv = sys.predict_with_interval(6, 1.96).unwrap();
-        assert_eq!(iv.len(), 1);
-        assert_eq!(iv[0].len(), 6);
-        for (p, lo, hi) in &iv[0] {
-            assert!(lo <= p && p <= hi);
-        }
-        // width grows with the step index
-        let w0 = iv[0][0].2 - iv[0][0].1;
-        let w5 = iv[0][5].2 - iv[0][5].1;
-        assert!(w5 > w0, "w0={w0} w5={w5}");
-    }
-
-    #[test]
     fn interval_before_fit_errors() {
         let sys = AutoAITS::new();
-        assert!(sys.predict_with_interval(3, 2.0).is_err());
         assert!(sys.predict_interval(3, &[0.8, 0.95]).is_err());
     }
 

@@ -47,7 +47,8 @@ pub enum ProgressEvent {
         /// Number of pipelines excluded by the execution engine.
         failures: usize,
     },
-    /// Holdout evaluation of the winner.
+    /// Holdout evaluation of the T-Daub winner (of the ZeroModel when the
+    /// whole pool failed).
     HoldoutScored {
         /// SMAPE on the held-out 20%.
         smape: f64,

@@ -458,12 +458,9 @@ impl ForecastService {
 
     /// Fingerprint the stored series currently presents to a fit request.
     pub fn series_fingerprint(&self, name: &str) -> Option<FrameFingerprint> {
-        self.service_state.lock().ok().and_then(|state| {
-            state
-                .iter()
-                .find(|s| s.name == name)
-                .map(|s| s.frame.fingerprint())
-        })
+        self.stored_frame(name)
+            .ok()
+            .map(|frame| frame.fingerprint())
     }
 
     /// Submit a batch of requests; the reply vector is index-aligned with
@@ -563,31 +560,32 @@ impl ForecastService {
 
     /// Convenience: submit a single fit request for `series`.
     pub fn fit(&self, series: &str) -> Result<ServiceFitReport, PipelineError> {
-        let mut replies = self.submit(&[ServiceRequest::Fit {
+        match self.submit_one(ServiceRequest::Fit {
             series: series.to_string(),
-        }]);
-        match replies.pop() {
-            Some(Ok(ServiceResponse::Fit(report))) => Ok(report),
-            Some(Ok(_)) => Err(PipelineError::Crashed("fit answered with non-fit".into())),
-            Some(Err(e)) => Err(e),
-            None => Err(PipelineError::Crashed("empty submit reply".into())),
+        })? {
+            ServiceResponse::Fit(report) => Ok(report),
+            _ => Err(PipelineError::Crashed("fit answered with non-fit".into())),
         }
     }
 
     /// Convenience: submit a single predict request for `series`.
     pub fn predict(&self, series: &str, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
-        let mut replies = self.submit(&[ServiceRequest::Predict {
+        match self.submit_one(ServiceRequest::Predict {
             series: series.to_string(),
             horizon,
-        }]);
-        match replies.pop() {
-            Some(Ok(ServiceResponse::Predict(frame))) => Ok(frame),
-            Some(Ok(_)) => Err(PipelineError::Crashed(
+        })? {
+            ServiceResponse::Predict(frame) => Ok(frame),
+            _ => Err(PipelineError::Crashed(
                 "predict answered with non-predict".into(),
             )),
-            Some(Err(e)) => Err(e),
-            None => Err(PipelineError::Crashed("empty submit reply".into())),
         }
+    }
+
+    /// Submit a one-request batch and unwrap its one reply.
+    fn submit_one(&self, request: ServiceRequest) -> Result<ServiceResponse, PipelineError> {
+        self.submit(&[request])
+            .pop()
+            .unwrap_or_else(|| Err(PipelineError::Crashed("empty submit reply".into())))
     }
 
     /// Quantile-band forecast from the series' most recent fitted system.
@@ -600,14 +598,7 @@ impl ForecastService {
         horizon: usize,
         levels: &[f64],
     ) -> Result<IntervalForecast, PipelineError> {
-        let generation = self.generation.load(Ordering::SeqCst);
-        let mut models = lock_or_poisoned(&self.service_models)?;
-        let entry = models
-            .iter_mut()
-            .find(|e| e.series == series && e.generation == generation)
-            .ok_or(PipelineError::NotFitted)?;
-        entry.touched = self.touch_clock.fetch_add(1, Ordering::SeqCst);
-        entry.model.predict_interval(horizon, levels)
+        self.with_current_model(series, |model| model.predict_interval(horizon, levels))
     }
 
     /// Snapshot of the series' drift-monitor state; `None` until the first
@@ -892,14 +883,8 @@ impl ForecastService {
         if priors.is_empty() {
             return false;
         }
-        let frame = {
-            let Ok(state) = self.service_state.lock() else {
-                return false;
-            };
-            match state.iter().find(|s| s.name == name) {
-                Some(slot) => slot.frame.clone(),
-                None => return false,
-            }
+        let Ok(frame) = self.stored_frame(name) else {
+            return false;
         };
         // restricted pool: the previous top ranks plus the ZeroModel anchor
         // — the warm search revisits proven contenders, not the whole table
@@ -918,32 +903,10 @@ impl ForecastService {
             // produce a forecaster — the old winner keeps serving
             return false;
         }
-        let after = self.cache.stats();
-        let Ok(report) = build_report(name, &model, before, after, true) else {
-            return false;
-        };
-        // atomic swap: dead on arrival if an invalidation raced the attempt
-        if self.generation.load(Ordering::SeqCst) != generation {
-            return false;
-        }
-        let Ok(mut models) = self.service_models.lock() else {
-            return false;
-        };
-        models.retain(|e| e.series != name && e.generation == generation);
-        models.push(ModelEntry {
-            series: name.to_string(),
-            fingerprint: frame.fingerprint(),
-            generation,
-            model,
-            report,
-            touched: self.touch_clock.fetch_add(1, Ordering::SeqCst),
-            // the report comes from a restricted warm pool; a clean
-            // explicit fit must never replay it
-            tainted: true,
-        });
-        drop(models);
-        self.cache.prune_to_latest(frame.fingerprint().buffers());
-        true
+        // atomic swap, tainted: the report comes from a restricted warm
+        // pool, so a clean explicit fit must never replay it
+        self.install(name, &frame, generation, model, before, true, true)
+            .is_ok_and(|(_, installed)| installed)
     }
 
     /// Evict model-cache entries — least-recently-touched first, oldest
@@ -1015,19 +978,7 @@ impl ForecastService {
     /// entries only), run the full selection against the shared cache
     /// otherwise.
     fn fit_series(&self, series: &str) -> Result<ServiceFitReport, PipelineError> {
-        let frame = {
-            let state = lock_or_poisoned(&self.service_state)?;
-            match state.iter().find(|s| s.name == series) {
-                // O(1): shares the stored buffers, which is exactly what
-                // keys the cross-run caches
-                Some(slot) => slot.frame.clone(),
-                None => {
-                    return Err(PipelineError::InvalidInput(format!(
-                        "fit: unknown series `{series}`"
-                    )))
-                }
-            }
-        };
+        let frame = self.stored_frame(series)?;
         let generation = self.generation.load(Ordering::SeqCst);
         let fingerprint = frame.fingerprint();
         let extends_previous_fit = {
@@ -1068,34 +1019,23 @@ impl ForecastService {
             if !carried.is_empty() {
                 if let Ok(mut state) = self.service_state.lock() {
                     if let Some(slot) = state.iter_mut().find(|s| s.name == series) {
-                        let mut restored = carried;
-                        restored.append(&mut slot.pending_issues);
-                        slot.pending_issues = restored;
+                        slot.pending_issues.splice(0..0, carried);
                     }
                 }
             }
             return Err(e);
         }
-        let after = self.cache.stats();
-        let report = build_report(series, &model, before, after, extends_previous_fit)?;
-        // dead-on-arrival check: an invalidation that raced this fit wins
-        if self.generation.load(Ordering::SeqCst) == generation {
-            let mut models = lock_or_poisoned(&self.service_models)?;
-            models.retain(|e| e.series != series && e.generation == generation);
-            models.push(ModelEntry {
-                series: series.to_string(),
-                fingerprint,
-                generation,
-                model,
-                report: report.clone(),
-                touched: self.touch_clock.fetch_add(1, Ordering::SeqCst),
-                // a fit that ran under an active fault plan may carry a
-                // degraded ranking; never replay it for a clean request
-                tainted: autoai_chaos::enabled(),
-            });
-            drop(models);
-            self.cache.prune_to_latest(frame.fingerprint().buffers());
-        }
+        // tainted when it ran under an active fault plan: it may carry a
+        // degraded ranking, so it is never replayed for a clean request
+        let (report, _) = self.install(
+            series,
+            &frame,
+            generation,
+            model,
+            before,
+            extends_previous_fit,
+            autoai_chaos::enabled(),
+        )?;
         self.enforce_cache_budget();
         Ok(report)
     }
@@ -1106,6 +1046,27 @@ impl ForecastService {
         series: &str,
         horizon: usize,
     ) -> Result<TimeSeriesFrame, PipelineError> {
+        self.with_current_model(series, |model| model.predict(horizon))
+    }
+
+    /// The stored frame of `series`. O(1): the clone shares the stored
+    /// buffers, which is exactly what keys the cross-run caches.
+    fn stored_frame(&self, series: &str) -> Result<TimeSeriesFrame, PipelineError> {
+        let state = lock_or_poisoned(&self.service_state)?;
+        state
+            .iter()
+            .find(|s| s.name == series)
+            .map(|s| s.frame.clone())
+            .ok_or_else(|| PipelineError::InvalidInput(format!("fit: unknown series `{series}`")))
+    }
+
+    /// Run `read` on the series' current-generation fitted system, marking
+    /// its entry as just used (eviction order).
+    fn with_current_model<T>(
+        &self,
+        series: &str,
+        read: impl FnOnce(&AutoAITS) -> Result<T, PipelineError>,
+    ) -> Result<T, PipelineError> {
         let generation = self.generation.load(Ordering::SeqCst);
         let mut models = lock_or_poisoned(&self.service_models)?;
         let entry = models
@@ -1113,40 +1074,66 @@ impl ForecastService {
             .find(|e| e.series == series && e.generation == generation)
             .ok_or(PipelineError::NotFitted)?;
         entry.touched = self.touch_clock.fetch_add(1, Ordering::SeqCst);
-        entry.model.predict(horizon)
+        read(&entry.model)
     }
-}
 
-/// Assemble the service-level fit report from a fitted system's summary
-/// plus the request's cache-counter deltas.
-fn build_report(
-    series: &str,
-    model: &AutoAITS,
-    before: CacheStats,
-    after: CacheStats,
-    extends_previous_fit: bool,
-) -> Result<ServiceFitReport, PipelineError> {
-    let summary = model.summary().ok_or(PipelineError::NotFitted)?;
-    Ok(ServiceFitReport {
-        series: series.to_string(),
-        best_pipeline: summary.best_pipeline.clone(),
-        ranking: summary
-            .reports
-            .iter()
-            .map(|r| (r.name.clone(), r.projected_score))
-            .collect(),
-        holdout_smape: summary.holdout_smape,
-        degradation: summary.degradation,
-        incremental_fits: summary.execution.incremental_fits,
-        fits_avoided: summary.execution.fits_avoided,
-        duplicate_fits: summary.execution.duplicate_fits,
-        cache_hits: after.hits.saturating_sub(before.hits),
-        cache_misses: after.misses.saturating_sub(before.misses),
-        cache_extensions: after.extensions.saturating_sub(before.extensions),
-        extends_previous_fit,
-        reused_model: false,
-        quality_issues: summary.quality.issues.clone(),
-    })
+    /// Store a finished fit as the series' model-cache entry, replacing its
+    /// older entries, and prune the transform cache to the fitted buffers.
+    /// The report carries the fit's summary plus the cache-counter deltas
+    /// since `cache_before`. Returns it and whether the entry was stored: a
+    /// fit that an invalidation raced is dead on arrival and leaves every
+    /// entry as it was.
+    #[allow(clippy::too_many_arguments)]
+    fn install(
+        &self,
+        series: &str,
+        frame: &TimeSeriesFrame,
+        generation: u64,
+        model: AutoAITS,
+        cache_before: CacheStats,
+        extends_previous_fit: bool,
+        tainted: bool,
+    ) -> Result<(ServiceFitReport, bool), PipelineError> {
+        let summary = model.summary().ok_or(PipelineError::NotFitted)?;
+        let after = self.cache.stats();
+        let report = ServiceFitReport {
+            series: series.to_string(),
+            best_pipeline: summary.best_pipeline.clone(),
+            ranking: summary
+                .reports
+                .iter()
+                .map(|r| (r.name.clone(), r.projected_score))
+                .collect(),
+            holdout_smape: summary.holdout_smape,
+            degradation: summary.degradation,
+            incremental_fits: summary.execution.incremental_fits,
+            fits_avoided: summary.execution.fits_avoided,
+            duplicate_fits: summary.execution.duplicate_fits,
+            cache_hits: after.hits.saturating_sub(cache_before.hits),
+            cache_misses: after.misses.saturating_sub(cache_before.misses),
+            cache_extensions: after.extensions.saturating_sub(cache_before.extensions),
+            extends_previous_fit,
+            reused_model: false,
+            quality_issues: summary.quality.issues.clone(),
+        };
+        if self.generation.load(Ordering::SeqCst) != generation {
+            return Ok((report, false));
+        }
+        let mut models = lock_or_poisoned(&self.service_models)?;
+        models.retain(|e| e.series != series && e.generation == generation);
+        models.push(ModelEntry {
+            series: series.to_string(),
+            fingerprint: frame.fingerprint(),
+            generation,
+            model,
+            report: report.clone(),
+            touched: self.touch_clock.fetch_add(1, Ordering::SeqCst),
+            tainted,
+        });
+        drop(models);
+        self.cache.prune_to_latest(frame.fingerprint().buffers());
+        Ok((report, true))
+    }
 }
 
 /// Bytes the model cache keeps alive for one entry: the fitted frame's

@@ -261,10 +261,9 @@ pub struct ConformalCalibration {
 impl ConformalCalibration {
     /// Calibrate against a holdout frame that immediately follows the
     /// forecaster's training data: one `predict(calib.len())` call (no
-    /// refits — the `duplicate_fits == 0` invariant is untouched), then
-    /// per-series absolute residuals become the conformal scores. Returns
-    /// `None` when the forecaster cannot produce usable residuals for
-    /// every series.
+    /// refits — the `duplicate_fits == 0` invariant is untouched), handed
+    /// to [`ConformalCalibration::from_forecast`]. Returns `None` when the
+    /// forecaster cannot produce usable residuals for every series.
     pub fn calibrate(f: &dyn Forecaster, calib: &TimeSeriesFrame) -> Option<Self> {
         if calib.len() == 0 {
             return None;
@@ -272,6 +271,13 @@ impl ConformalCalibration {
         let pred = catch_unwind(AssertUnwindSafe(|| f.predict(calib.len())))
             .ok()?
             .ok()?;
+        Self::from_forecast(&pred, calib)
+    }
+
+    /// Calibrate from a forecast `pred` of the calibration frame `calib`:
+    /// per-series absolute residuals become the conformal scores. Returns
+    /// `None` when the shapes differ or a series has no usable residual.
+    pub fn from_forecast(pred: &TimeSeriesFrame, calib: &TimeSeriesFrame) -> Option<Self> {
         if pred.n_series() != calib.n_series() {
             return None;
         }

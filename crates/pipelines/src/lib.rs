@@ -38,6 +38,6 @@ pub use stat_pipelines::{
     ArPipeline, ArimaPipeline, BatsPipeline, GarchPipeline, HoltWintersPipeline,
     SeasonalNaivePipeline, ThetaPipeline, ZeroModelPipeline,
 };
-pub use traits::{Forecaster, PipelineError};
+pub use traits::{score_forecast, Forecaster, PipelineError};
 pub use weighted_ensemble::EnsembleForecaster;
 pub use window_pipeline::WindowPipeline;

@@ -124,31 +124,43 @@ pub trait Forecaster: Send + Sync {
     }
 
     /// Score against a holdout frame that immediately follows the training
-    /// data. Default: forecast `test.len()` rows and average the metric
-    /// across series. Lower-is-better metrics return their value directly;
-    /// R² is negated so that **smaller is always better** for ranking.
+    /// data. Default: forecast `test.len()` rows and score them with
+    /// [`score_forecast`]: the metric averaged across series, R² negated so
+    /// that **smaller is always better** for ranking.
     fn score(&self, test: &TimeSeriesFrame, metric: Metric) -> Result<f64, PipelineError> {
-        let pred = self.predict(test.len())?;
-        if pred.n_series() != test.n_series() {
-            return Err(PipelineError::InvalidInput(format!(
-                "prediction has {} series, test has {}",
-                pred.n_series(),
-                test.n_series()
-            )));
-        }
-        let mut total = 0.0;
-        for c in 0..test.n_series() {
-            let p = pred.series(c);
-            // guard before the metric: SMAPE/MAPE skip degenerate pairs, so
-            // a NaN forecast could otherwise masquerade as a perfect score
-            if p.iter().any(|v| !v.is_finite()) {
-                return Ok(f64::NAN);
-            }
-            let v = metric.eval(test.series(c), p);
-            total += if metric.higher_is_better() { -v } else { v };
-        }
-        Ok(total / test.n_series().max(1) as f64)
+        score_forecast(&self.predict(test.len())?, test, metric)
     }
+}
+
+/// Score a forecast `pred` against the frame `test` it forecasts: the
+/// metric averaged across series, with R² negated so that **smaller is
+/// always better** for ranking. A non-finite forecast scores NaN. This is
+/// [`Forecaster::score`]'s arithmetic, for callers that already hold the
+/// forecast.
+pub fn score_forecast(
+    pred: &TimeSeriesFrame,
+    test: &TimeSeriesFrame,
+    metric: Metric,
+) -> Result<f64, PipelineError> {
+    if pred.n_series() != test.n_series() {
+        return Err(PipelineError::InvalidInput(format!(
+            "prediction has {} series, test has {}",
+            pred.n_series(),
+            test.n_series()
+        )));
+    }
+    let mut total = 0.0;
+    for c in 0..test.n_series() {
+        let p = pred.series(c);
+        // guard before the metric: SMAPE/MAPE skip degenerate pairs, so
+        // a NaN forecast could otherwise masquerade as a perfect score
+        if p.iter().any(|v| !v.is_finite()) {
+            return Ok(f64::NAN);
+        }
+        let v = metric.eval(test.series(c), p);
+        total += if metric.higher_is_better() { -v } else { v };
+    }
+    Ok(total / test.n_series().max(1) as f64)
 }
 
 #[cfg(test)]

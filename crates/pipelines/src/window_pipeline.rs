@@ -112,6 +112,8 @@ struct Fitted {
     chain: Chain,
     /// One model per group: a single joint model, or one per series.
     models: Vec<Model>,
+    /// The look-back this fit used: the configured one clamped to the data.
+    lookback: usize,
     /// The last `lookback` rows of the transformed training data.
     tail: TimeSeriesFrame,
     names: Vec<String>,
@@ -135,8 +137,9 @@ pub struct WindowPipeline {
     per_series: bool,
     /// Draws the fit and predict chaos faults (MT2RForecaster only).
     gated: bool,
-    /// Look-back window length. Every fit clamps it to the data, and the
-    /// clamp sticks for later fits and clones.
+    /// Configured look-back window length. Each fit clamps it to its own
+    /// data and keeps the result in its `Fitted`, so a short fit never
+    /// shrinks later fits or clones.
     lookback: usize,
     /// Direct horizon the models are trained for.
     horizon: usize,
@@ -330,9 +333,9 @@ impl WindowPipeline {
     /// One recursion step: the series-major prediction of every group's
     /// model on its part of the window (series-major, so series `c`'s own
     /// window is its `lookback`-long chunk).
-    fn predict_row(&self, models: &[Model], x: &[f64]) -> Vec<f64> {
+    fn predict_row(&self, fitted: &Fitted, x: &[f64]) -> Vec<f64> {
         let width = if self.per_series {
-            self.lookback
+            fitted.lookback
         } else {
             x.len()
         };
@@ -340,7 +343,8 @@ impl WindowPipeline {
             Model::Regressor(m, _) => m.predict_row(window),
             Model::Mlp(m, _) => m.predict_row(window),
         };
-        models
+        fitted
+            .models
             .iter()
             .zip(x.chunks(width.max(1)))
             .flat_map(row)
@@ -372,7 +376,6 @@ impl Forecaster for WindowPipeline {
         }
         self.fitted = None;
         let (chain, transformed, lookback) = self.transform(frame);
-        self.lookback = lookback;
         let mut models = Vec::new();
         let mut tournament_rows = 0;
         for g in 0..self.groups(&transformed) {
@@ -390,6 +393,7 @@ impl Forecaster for WindowPipeline {
         self.fitted = Some(Fitted {
             chain,
             models,
+            lookback,
             tail: transformed.tail(lookback).into_owned(),
             names: frame.names().to_vec(),
             fp: frame.fingerprint(),
@@ -435,10 +439,10 @@ impl Forecaster for WindowPipeline {
             models.push(Model::Regressor(fit_named(chosen, &ds.x, &ds.y)?, chosen));
         }
         let tournament_rows = prev.tournament_rows;
-        self.lookback = lookback;
         self.fitted = Some(Fitted {
             chain,
             models,
+            lookback,
             tail: transformed.tail(lookback).into_owned(),
             names: frame.names().to_vec(),
             fp,
@@ -456,10 +460,10 @@ impl Forecaster for WindowPipeline {
         }
         let out = recursive_window_forecast(
             &fitted.tail,
-            self.lookback,
+            fitted.lookback,
             self.horizon,
             horizon,
-            |x, _| self.predict_row(&fitted.models, x),
+            |x, _| self.predict_row(fitted, x),
         )?;
         Ok(Self::output(fitted, out))
     }
@@ -485,15 +489,20 @@ impl Forecaster for WindowPipeline {
         // on the identical features and contributes only the dispersion
         let trained = self.horizon;
         let mut stds: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); fitted.tail.n_series()];
-        let out =
-            recursive_window_forecast(&fitted.tail, self.lookback, trained, horizon, |x, take| {
+        let out = recursive_window_forecast(
+            &fitted.tail,
+            fitted.lookback,
+            trained,
+            horizon,
+            |x, take| {
                 let dist = nll.predict_distribution(x);
                 for (sd, seg) in stds.iter_mut().zip(dist.chunks(trained)) {
                     let spread = |&(_, s): &(f64, f64)| if poison { f64::NAN } else { s.abs() };
                     sd.extend(seg.iter().take(take).map(spread));
                 }
-                self.predict_row(&fitted.models, x)
-            })?;
+                self.predict_row(fitted, x)
+            },
+        )?;
         IntervalForecast::from_gaussian(
             Self::output(fitted, out),
             levels,
@@ -813,7 +822,7 @@ mod tests {
             (0..30).map(|i| i as f64).collect(),
         ))
         .unwrap();
-        assert!(p.lookback <= 25);
+        assert!(p.fitted.as_ref().unwrap().lookback <= 25);
         assert_eq!(p.predict(3).unwrap().len(), 3);
     }
 
@@ -854,9 +863,19 @@ mod tests {
             (0..30).map(|i| i as f64).collect(),
         ))
         .unwrap();
-        assert!(p.lookback < 50);
+        assert!(p.fitted.as_ref().unwrap().lookback < 50);
         let f = p.predict(2).unwrap();
         assert!(f.series(0)[0] > 25.0);
+    }
+
+    #[test]
+    fn a_short_fit_does_not_shrink_later_fits() {
+        let mut p = WindowPipeline::flatten(30, 24, false);
+        p.fit(&seasonal_frame(50)).unwrap();
+        assert!(p.fitted.as_ref().unwrap().lookback < 30);
+        p.fit(&seasonal_frame(300)).unwrap();
+        assert_eq!(p.fitted.as_ref().unwrap().lookback, 30);
+        assert_eq!(p.lookback, 30);
     }
 
     #[test]

@@ -265,6 +265,7 @@ impl Default for Config {
                 "crates/chaos/src/".to_string(),
                 "crates/core/src/service.rs".to_string(),
                 "crates/core/src/online.rs".to_string(),
+                "crates/core/src/orchestrator.rs".to_string(),
             ],
             clock_paths: vec![
                 "crates/linalg/src/par.rs".to_string(),
@@ -1544,6 +1545,7 @@ mod tests {
             "crates/pipelines/src/ensemble.rs",
             "crates/transforms/src/conformal.rs",
             "crates/tsdata/src/metrics.rs",
+            "crates/core/src/orchestrator.rs",
         ] {
             let v = check_source(file, src, &strict_cfg());
             assert!(

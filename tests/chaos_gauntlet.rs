@@ -630,3 +630,63 @@ fn an_empty_plan_is_bitwise_invisible() {
         assert_eq!(a.failure, b.failure, "{}", a.name);
     }
 }
+
+#[test]
+fn a_degraded_fit_reports_the_served_rungs_own_holdout_score() {
+    let _gate = GATE.lock().unwrap();
+    // trend + period-12 season; the error-only plan fails full-data refits
+    // often enough that ranked runner-ups (or the ZeroModel) end up serving
+    let rows: Vec<Vec<f64>> = (0..240)
+        .map(|i| {
+            let t = i as f64;
+            vec![50.0 + 0.3 * t + 8.0 * (2.0 * std::f64::consts::PI * t / 12.0).sin()]
+        })
+        .collect();
+    let frame = TimeSeriesFrame::from_rows(&rows);
+    let (train, holdout) = tsdata::holdout_split(&frame, 48);
+    let mut runner_ups = 0usize;
+    for seed in 0..24u64 {
+        chaos::install(chaos::FaultPlan {
+            error_prob: 0.3,
+            ..chaos::FaultPlan::empty(seed)
+        });
+        let mut cfg = AutoAITSConfig {
+            pipeline_names: Some(vec![
+                "AR".into(),
+                "SeasonalNaive".into(),
+                "HW-Additive".into(),
+                "ZeroModel".into(),
+            ]),
+            ..Default::default()
+        };
+        cfg.tdaub.ensemble_top_k = 0;
+        let mut sys = AutoAITS::with_config(cfg);
+        let fitted = sys.fit(&frame).map(|_| ());
+        chaos::disable();
+        fitted.unwrap_or_else(|e| panic!("seed {seed}: fit must degrade, not fail: {e}"));
+        let summary = sys.summary().expect("fitted");
+        let served = &summary.best_pipeline;
+        if summary.reports.first().map(|r| &r.name) == Some(served) {
+            continue;
+        }
+        runner_ups += 1;
+        // the served rung's own score, recomputed fault-free: fit on the
+        // same train split, score on the holdout
+        let ctx = PipelineContext::new(summary.lookback, 12, summary.seasonal_periods.clone());
+        let mut own = pipeline_by_name(served, &ctx).expect("served pipeline resolvable");
+        own.fit(&train).expect("fault-free train fit");
+        let expected = own
+            .score(&holdout, tsdata::Metric::Smape)
+            .expect("fault-free holdout score");
+        assert_eq!(
+            summary.holdout_smape.to_bits(),
+            expected.to_bits(),
+            "seed {seed}: {served} served, reported holdout SMAPE {} is not its own {expected}",
+            summary.holdout_smape
+        );
+    }
+    assert!(
+        runner_ups > 0,
+        "no seed served anything but the T-Daub winner"
+    );
+}
