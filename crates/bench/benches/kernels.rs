@@ -12,10 +12,17 @@
 //!   AutoEnsembler's 60-round GBM and 30-tree forest on one seeded
 //!   window matrix).
 //! * `--smoke` — reduced sizes, no JSON; asserts every gated kernel
-//!   (matmul, gram, dot) stays ≥ 2× ahead of its naive reference,
-//!   and that all kernels agree with the references within a
-//!   reassociation-sized tolerance. Exits non-zero on any violation;
-//!   wired into `scripts/check.sh`.
+//!   (matmul, gram) stays ≥ 2× ahead of its naive reference, and that
+//!   all kernels agree with the references within a reassociation-sized
+//!   tolerance. Exits non-zero on any violation; wired into
+//!   `scripts/check.sh`.
+//!
+//! `dot`'s speed-up is printed but not gated: it is a short memory-bound
+//! loop whose wall ratio hovers near 2× and flips with machine load.
+//! What buys it is the four independent accumulators of `linalg::dot`,
+//! so every mode pins that structure instead: `dot` must match
+//! [`four_lane_dot`] bit for bit on the seeded vectors, which a sequential
+//! reduction does not.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -27,6 +34,18 @@ use autoai_ml_models::{
 };
 
 // ---- naive references (the pre-optimization loop shapes) ---------------
+
+/// The reduction shape `linalg::dot` must keep: four interleaved lanes
+/// folded as `(a0 + a1) + (a2 + a3)`, then the sequential tail.
+fn four_lane_dot(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len().min(b.len()) / 4 * 4;
+    let mut lanes = [0.0f64; 4];
+    for (i, (x, y)) in a.iter().zip(b).take(n).enumerate() {
+        lanes[i % 4] += x * y;
+    }
+    let tail = a.iter().zip(b).skip(n).fold(0.0, |acc, (x, y)| acc + x * y);
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+}
 
 fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = 0.0;
@@ -195,10 +214,20 @@ fn main() {
         gated: true,
     });
 
-    let (df, ds) = (dot(&x, &y), naive_dot(&x, &y));
+    let (df, ds, d4) = (dot(&x, &y), naive_dot(&x, &y), four_lane_dot(&x, &y));
     assert!(
         (df - ds).abs() / (1.0 + ds.abs()) < 1e-13 * dot_n as f64,
         "dot diverged from the naive reference: {df} vs {ds}"
+    );
+    assert_eq!(
+        df.to_bits(),
+        d4.to_bits(),
+        "dot lost its four-lane reduction: {df:e} vs reference {d4:e}"
+    );
+    assert_ne!(
+        ds.to_bits(),
+        d4.to_bits(),
+        "the seeded vectors no longer tell a sequential dot from the four-lane one"
     );
     results.push(KernelResult {
         name: "dot",
@@ -208,7 +237,7 @@ fn main() {
         fast_ms: measure_ms(reps, 64, || {
             black_box(dot(black_box(&x), black_box(&y)));
         }),
-        gated: true,
+        gated: false,
     });
 
     let fast_tv = g.t_matvec(&w);
@@ -262,7 +291,11 @@ fn main() {
             r.naive_ms,
             r.fast_ms,
             r.speedup(),
-            if r.gated { "  [gated >= 2x]" } else { "" }
+            match (r.gated, r.name) {
+                (true, _) => "  [gated >= 2x]",
+                (false, "dot") => "  [bit-pinned]",
+                _ => "",
+            }
         );
     }
 
@@ -282,7 +315,7 @@ fn main() {
             min_gated >= 2.0,
             "kernel speedup bar not met: {min_gated:.2}x (need 2x)"
         );
-        println!("smoke: kernel speedups >= 2x, references matched");
+        println!("smoke: matmul/gram speedups >= 2x, dot bit-pinned, references matched");
         return;
     }
 

@@ -25,8 +25,9 @@
 //!   are dead on arrival instead of resurrecting flushed state;
 //! - a **job-queue front end**: [`ForecastService::submit`] multiplexes a
 //!   batch of fit/predict requests over the process-wide persistent worker
-//!   pool with admission control (batch + in-flight caps) and per-request
-//!   soft/hard budgets derived from the existing deadline machinery.
+//!   pool with admission control (batch + in-flight caps); each request
+//!   runs under the soft/hard T-Daub budgets of the service's template
+//!   [`AutoAITSConfig`].
 //!
 //! # The online loop
 //!
@@ -77,8 +78,7 @@ use autoai_tsdata::{smape, FrameFingerprint, GrowthRecord, QualityIssue, TimeSer
 use crate::online::{DriftConfig, DriftMonitor, DriftSnapshot, DriftVerdict};
 use crate::orchestrator::{AutoAITS, AutoAITSConfig, DegradationLevel};
 
-/// Admission-control and per-request budget limits for a
-/// [`ForecastService`].
+/// Admission-control and cache-budget limits for a [`ForecastService`].
 #[derive(Debug, Clone)]
 pub struct ServiceLimits {
     /// Maximum requests accepted from a single [`ForecastService::submit`]
@@ -87,14 +87,6 @@ pub struct ServiceLimits {
     pub max_batch: usize,
     /// Maximum admitted-but-unfinished requests across concurrent batches.
     pub max_in_flight: usize,
-    /// Per-request soft budget, applied as the T-Daub per-pipeline
-    /// cooperative time budget when the service config does not already pin
-    /// one.
-    pub soft_budget: Option<Duration>,
-    /// Per-request hard deadline, applied as the whole-run hard deadline
-    /// (watchdog-backed degradation to ranked survivors) when the service
-    /// config does not already pin one.
-    pub hard_deadline: Option<Duration>,
     /// Byte budget for the cross-run caches (transform-cache resident bytes
     /// plus an estimate of the stored frames the model cache keeps alive).
     /// When exceeded, model-cache entries are evicted least-recently-touched
@@ -108,8 +100,6 @@ impl Default for ServiceLimits {
         Self {
             max_batch: 64,
             max_in_flight: 256,
-            soft_budget: None,
-            hard_deadline: None,
             max_cache_bytes: None,
         }
     }
@@ -892,7 +882,7 @@ impl ForecastService {
         if !pool.iter().any(|p| p == "ZeroModel") {
             pool.push("ZeroModel".to_string());
         }
-        let mut config = self.request_config();
+        let mut config = self.config.clone();
         config.pipeline_names = Some(pool);
         config.tdaub.warm_priors = Some(priors);
         let before = self.cache.stats();
@@ -961,19 +951,6 @@ impl ForecastService {
         }
     }
 
-    /// Per-request config: the service template with the admission limits'
-    /// budgets filled in wherever the template leaves them open.
-    fn request_config(&self) -> AutoAITSConfig {
-        let mut config = self.config.clone();
-        if config.tdaub.pipeline_time_budget.is_none() {
-            config.tdaub.pipeline_time_budget = self.limits.soft_budget;
-        }
-        if config.tdaub.run_hard_deadline.is_none() {
-            config.tdaub.run_hard_deadline = self.limits.hard_deadline;
-        }
-        config
-    }
-
     /// Serve one fit request: replay on an exact fingerprint match (clean
     /// entries only), run the full selection against the shared cache
     /// otherwise.
@@ -1010,7 +987,7 @@ impl ForecastService {
                 .unwrap_or_default()
         };
         let before = self.cache.stats();
-        let mut model = AutoAITS::with_config(self.request_config())
+        let mut model = AutoAITS::with_config(self.config.clone())
             .with_transform_cache(Arc::clone(&self.cache))
             .with_carried_issues(carried.clone());
         if let Err(e) = model.fit(&frame) {

@@ -1,11 +1,10 @@
-//! Linear models: ordinary least squares, ridge, and SGD regression.
+//! Ordinary least squares, the Linear Regression of the paper's ML model
+//! list (§3) and the linear learner of the window pipelines.
 //!
-//! LinearRegression and SGD Regression appear in the paper's ML model list
-//! (§3). All three fit an intercept by augmenting the design matrix with a
-//! ones column; features are standardized internally for SGD so the default
-//! learning rate is scale-free.
+//! The intercept is fitted by augmenting the design matrix with a ones
+//! column.
 
-use autoai_linalg::{lstsq, lstsq_ridge, Matrix, Rng64};
+use autoai_linalg::{lstsq, Matrix};
 
 use crate::api::{MlError, Regressor};
 
@@ -66,203 +65,6 @@ impl Regressor for LinearRegression {
     }
 }
 
-/// Ridge regression (L2-penalized OLS, intercept unpenalized via augmentation
-/// with small λ applied uniformly — adequate at the problem sizes here).
-#[derive(Debug, Clone)]
-pub struct RidgeRegression {
-    /// L2 penalty.
-    pub lambda: f64,
-    /// `[intercept, coef_0, …]` after fitting.
-    pub coefficients: Vec<f64>,
-}
-
-impl RidgeRegression {
-    /// New ridge model with penalty `lambda`.
-    pub fn new(lambda: f64) -> Self {
-        Self {
-            lambda,
-            coefficients: Vec::new(),
-        }
-    }
-}
-
-impl Regressor for RidgeRegression {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        if x.nrows() == 0 {
-            return Err(MlError::new("ridge regression: no samples"));
-        }
-        let xa = augment(x);
-        self.coefficients = lstsq_ridge(&xa, y, self.lambda)
-            .map_err(|e| MlError::new(format!("ridge lstsq failed: {e}")))?;
-        Ok(())
-    }
-
-    fn predict_row(&self, row: &[f64]) -> f64 {
-        assert!(
-            !self.coefficients.is_empty(),
-            "RidgeRegression::predict before fit"
-        );
-        self.coefficients[0]
-            + row
-                .iter()
-                .zip(&self.coefficients[1..])
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
-    }
-
-    fn name(&self) -> &'static str {
-        "ridge_regression"
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Regressor> {
-        Box::new(Self::new(self.lambda))
-    }
-}
-
-/// SGD hyperparameters.
-#[derive(Debug, Clone)]
-pub struct SgdConfig {
-    /// Number of passes over the data.
-    pub epochs: usize,
-    /// Initial learning rate (inverse-scaling schedule `η / (1 + t·decay)`).
-    pub learning_rate: f64,
-    /// Learning-rate decay constant.
-    pub decay: f64,
-    /// L2 penalty per update.
-    pub l2: f64,
-    /// Shuffle seed.
-    pub seed: u64,
-}
-
-impl Default for SgdConfig {
-    fn default() -> Self {
-        Self {
-            epochs: 50,
-            learning_rate: 0.05,
-            decay: 1e-3,
-            l2: 1e-4,
-            seed: 0,
-        }
-    }
-}
-
-/// Linear regression fitted by stochastic gradient descent on squared loss,
-/// with internal feature standardization.
-#[derive(Debug, Clone)]
-pub struct SgdRegressor {
-    config: SgdConfig,
-    weights: Vec<f64>,
-    bias: f64,
-    /// Per-feature (mean, std) standardization learned at fit.
-    feature_stats: Vec<(f64, f64)>,
-    /// Target (mean, std).
-    target_stats: (f64, f64),
-}
-
-impl SgdRegressor {
-    /// New SGD regressor with default hyperparameters.
-    pub fn new() -> Self {
-        Self::with_config(SgdConfig::default())
-    }
-
-    /// New SGD regressor with explicit hyperparameters.
-    pub fn with_config(config: SgdConfig) -> Self {
-        Self {
-            config,
-            weights: Vec::new(),
-            bias: 0.0,
-            feature_stats: Vec::new(),
-            target_stats: (0.0, 1.0),
-        }
-    }
-}
-
-impl Default for SgdRegressor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Regressor for SgdRegressor {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        let n = x.nrows();
-        if n == 0 {
-            return Err(MlError::new("sgd: no samples"));
-        }
-        let d = x.ncols();
-        // standardize features and target
-        self.feature_stats = (0..d)
-            .map(|c| {
-                let col = x.col(c);
-                (
-                    autoai_linalg::mean(&col),
-                    autoai_linalg::std_dev(&col).max(1e-9),
-                )
-            })
-            .collect();
-        self.target_stats = (autoai_linalg::mean(y), autoai_linalg::std_dev(y).max(1e-9));
-        let (ym, ys) = self.target_stats;
-
-        self.weights = vec![0.0; d];
-        self.bias = 0.0;
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut rng = Rng64::seed_from_u64(self.config.seed);
-        let mut t = 0u64;
-        let mut zrow = vec![0.0; d];
-        for _ in 0..self.config.epochs {
-            rng.shuffle(&mut order);
-            for &i in &order {
-                let row = x.row(i);
-                for (j, z) in zrow.iter_mut().enumerate() {
-                    let (m, s) = self.feature_stats[j];
-                    *z = (row[j] - m) / s;
-                }
-                let target = (y[i] - ym) / ys;
-                let pred = self.bias
-                    + self
-                        .weights
-                        .iter()
-                        .zip(&zrow)
-                        .map(|(w, z)| w * z)
-                        .sum::<f64>();
-                let err = pred - target;
-                let lr = self.config.learning_rate / (1.0 + t as f64 * self.config.decay);
-                for (w, &z) in self.weights.iter_mut().zip(&zrow) {
-                    *w -= lr * (err * z + self.config.l2 * *w);
-                }
-                self.bias -= lr * err;
-                t += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn predict_row(&self, row: &[f64]) -> f64 {
-        assert!(
-            !self.weights.is_empty() || row.is_empty(),
-            "SgdRegressor::predict before fit"
-        );
-        let z: f64 = row
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| {
-                let (m, s) = self.feature_stats[j];
-                self.weights[j] * (v - m) / s
-            })
-            .sum();
-        let (ym, ys) = self.target_stats;
-        (self.bias + z) * ys + ym
-    }
-
-    fn name(&self) -> &'static str {
-        "sgd_regression"
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Regressor> {
-        Box::new(Self::with_config(self.config.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,68 +90,9 @@ mod tests {
     }
 
     #[test]
-    fn ridge_shrinks_towards_zero() {
-        let (x, y) = linear_data();
-        let mut r0 = RidgeRegression::new(0.0);
-        let mut r1 = RidgeRegression::new(100.0);
-        r0.fit(&x, &y).unwrap();
-        r1.fit(&x, &y).unwrap();
-        assert!(r1.coefficients[1].abs() < r0.coefficients[1].abs());
-    }
-
-    #[test]
-    fn sgd_approximates_ols() {
-        let (x, y) = linear_data();
-        let mut m = SgdRegressor::with_config(SgdConfig {
-            epochs: 200,
-            ..Default::default()
-        });
-        m.fit(&x, &y).unwrap();
-        let preds = m.predict(&x);
-        let mae: f64 = preds
-            .iter()
-            .zip(&y)
-            .map(|(p, t)| (p - t).abs())
-            .sum::<f64>()
-            / y.len() as f64;
-        assert!(mae < 0.5, "sgd MAE {mae}");
-    }
-
-    #[test]
-    fn sgd_scale_invariance_via_standardization() {
-        // same data with feature 0 scaled by 1e6 must still converge
-        let (x, y) = linear_data();
-        let rows: Vec<Vec<f64>> = (0..x.nrows())
-            .map(|r| vec![x[(r, 0)] * 1e6, x[(r, 1)]])
-            .collect();
-        let xs = Matrix::from_rows(&rows);
-        let mut m = SgdRegressor::with_config(SgdConfig {
-            epochs: 200,
-            ..Default::default()
-        });
-        m.fit(&xs, &y).unwrap();
-        let preds = m.predict(&xs);
-        let mae: f64 = preds
-            .iter()
-            .zip(&y)
-            .map(|(p, t)| (p - t).abs())
-            .sum::<f64>()
-            / y.len() as f64;
-        assert!(mae < 0.6, "scaled sgd MAE {mae}");
-    }
-
-    #[test]
-    fn empty_input_rejected_by_all() {
-        let x = Matrix::zeros(0, 2);
-        assert!(LinearRegression::new().fit(&x, &[]).is_err());
-        assert!(RidgeRegression::new(1.0).fit(&x, &[]).is_err());
-        assert!(SgdRegressor::new().fit(&x, &[]).is_err());
-    }
-
-    #[test]
-    fn clone_unfitted_preserves_hyperparameters() {
-        let m = RidgeRegression::new(3.5);
-        let c = m.clone_unfitted();
-        assert_eq!(c.name(), "ridge_regression");
+    fn empty_input_rejected() {
+        assert!(LinearRegression::new()
+            .fit(&Matrix::zeros(0, 2), &[])
+            .is_err());
     }
 }

@@ -1,48 +1,23 @@
-//! Support vector regression.
+//! Support vector regression: the RBF kernel machine behind the paper's
+//! WindowSVR pipeline.
 //!
-//! Two flavors back the paper's WindowSVR pipeline:
-//!
-//! * [`LinearSvr`] — ε-insensitive linear SVR trained with averaged
-//!   stochastic subgradient descent (Pegasos-style), scalable to long
-//!   window datasets.
-//! * [`KernelRidgeSvr`] — an RBF kernel machine solved in closed form
-//!   (kernel ridge regression). It is the nonlinear SVR stand-in documented
-//!   in DESIGN.md: same hypothesis space as ε-SVR with an RBF kernel, but
-//!   with a squared loss that admits a direct solver — avoiding a fragile
-//!   hand-rolled SMO while preserving the pipeline's modeling behavior.
-//!
-//! Both standardize features and target internally.
+//! [`KernelRidgeSvr`] is solved in closed form as kernel ridge regression.
+//! It is the nonlinear SVR stand-in documented in DESIGN.md: the same
+//! hypothesis space as ε-SVR with an RBF kernel, but with a squared loss
+//! that admits a direct solver — avoiding a fragile hand-rolled SMO while
+//! preserving the pipeline's modeling behavior. It standardizes features
+//! and target internally.
 
-use autoai_linalg::{cholesky_solve, Matrix, Rng64};
+use autoai_linalg::{cholesky_solve, Matrix};
 
 use crate::api::{MlError, Regressor};
 
-/// Shared SVR hyperparameters.
-#[derive(Debug, Clone)]
-pub struct SvrConfig {
-    /// ε-insensitive tube half-width (standardized target units).
-    pub epsilon: f64,
-    /// Regularization strength (like `1/C`).
-    pub lambda: f64,
-    /// SGD epochs (linear flavor only).
-    pub epochs: usize,
-    /// RBF bandwidth γ (`None` = median heuristic).
-    pub gamma: Option<f64>,
-    /// Shuffle seed.
-    pub seed: u64,
-}
+/// Ridge penalty added to the kernel diagonal (like `1/C`).
+const LAMBDA: f64 = 1e-2;
 
-impl Default for SvrConfig {
-    fn default() -> Self {
-        Self {
-            epsilon: 0.1,
-            lambda: 1e-4,
-            epochs: 60,
-            gamma: None,
-            seed: 0,
-        }
-    }
-}
+/// Maximum training rows before even subsampling (keeps the O(n³) solve
+/// bounded).
+const MAX_TRAIN: usize = 600;
 
 fn standardize_stats(x: &Matrix) -> Vec<(f64, f64)> {
     (0..x.ncols())
@@ -56,134 +31,11 @@ fn standardize_stats(x: &Matrix) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// ε-insensitive linear SVR via averaged stochastic subgradient descent.
-#[derive(Debug, Clone)]
-pub struct LinearSvr {
-    config: SvrConfig,
-    weights: Vec<f64>,
-    bias: f64,
-    feature_stats: Vec<(f64, f64)>,
-    target_stats: (f64, f64),
-}
-
-impl LinearSvr {
-    /// New linear SVR with default hyperparameters.
-    pub fn new() -> Self {
-        Self::with_config(SvrConfig::default())
-    }
-
-    /// New linear SVR with explicit hyperparameters.
-    pub fn with_config(config: SvrConfig) -> Self {
-        Self {
-            config,
-            weights: Vec::new(),
-            bias: 0.0,
-            feature_stats: Vec::new(),
-            target_stats: (0.0, 1.0),
-        }
-    }
-}
-
-impl Default for LinearSvr {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Regressor for LinearSvr {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        let n = x.nrows();
-        if n == 0 {
-            return Err(MlError::new("linear svr: no samples"));
-        }
-        let d = x.ncols();
-        self.feature_stats = standardize_stats(x);
-        self.target_stats = (autoai_linalg::mean(y), autoai_linalg::std_dev(y).max(1e-9));
-        let (ym, ys) = self.target_stats;
-
-        let mut w = vec![0.0; d];
-        let mut b = 0.0;
-        // running average for stability
-        let mut w_avg = vec![0.0; d];
-        let mut b_avg = 0.0;
-        let mut count = 0u64;
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut rng = Rng64::seed_from_u64(self.config.seed);
-        let mut z = vec![0.0; d];
-        let mut t = 1u64;
-        for _ in 0..self.config.epochs {
-            rng.shuffle(&mut order);
-            for &i in &order {
-                let row = x.row(i);
-                for (j, zj) in z.iter_mut().enumerate() {
-                    let (m, s) = self.feature_stats[j];
-                    *zj = (row[j] - m) / s;
-                }
-                let target = (y[i] - ym) / ys;
-                let pred = b + w.iter().zip(&z).map(|(a, c)| a * c).sum::<f64>();
-                let resid = pred - target;
-                let lr = 1.0 / (self.config.lambda.max(1e-9) * t as f64 + 100.0);
-                // subgradient of ε-insensitive loss
-                let g = if resid > self.config.epsilon {
-                    1.0
-                } else if resid < -self.config.epsilon {
-                    -1.0
-                } else {
-                    0.0
-                };
-                for (wj, &zj) in w.iter_mut().zip(&z) {
-                    *wj -= lr * (g * zj + self.config.lambda * *wj);
-                }
-                b -= lr * g;
-                t += 1;
-                // tail averaging
-                count += 1;
-                let k = 1.0 / count as f64;
-                for (a, &wi) in w_avg.iter_mut().zip(&w) {
-                    *a += (wi - *a) * k;
-                }
-                b_avg += (b - b_avg) * k;
-            }
-        }
-        self.weights = w_avg;
-        self.bias = b_avg;
-        Ok(())
-    }
-
-    fn predict_row(&self, row: &[f64]) -> f64 {
-        assert!(
-            !self.feature_stats.is_empty(),
-            "LinearSvr::predict before fit"
-        );
-        let z: f64 = row
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| {
-                let (m, s) = self.feature_stats[j];
-                self.weights[j] * (v - m) / s
-            })
-            .sum();
-        let (ym, ys) = self.target_stats;
-        (self.bias + z) * ys + ym
-    }
-
-    fn name(&self) -> &'static str {
-        "linear_svr"
-    }
-
-    fn clone_unfitted(&self) -> Box<dyn Regressor> {
-        Box::new(Self::with_config(self.config.clone()))
-    }
-}
-
 /// RBF kernel machine solved as kernel ridge regression.
 ///
-/// Training cost is O(n³); callers cap `n` (the WindowSVR pipeline
-/// subsamples windows above `max_train`).
+/// Training cost is O(n³) in the window count, so `fit` subsamples evenly
+/// above 600 windows. The RBF bandwidth γ comes from the median heuristic.
 pub struct KernelRidgeSvr {
-    config: SvrConfig,
-    /// Maximum training rows before subsampling (keeps O(n³) bounded).
-    pub max_train: usize,
     support: Matrix,
     alphas: Vec<f64>,
     gamma: f64,
@@ -192,19 +44,9 @@ pub struct KernelRidgeSvr {
 }
 
 impl KernelRidgeSvr {
-    /// New RBF model with default hyperparameters.
+    /// New unfitted RBF model.
     pub fn new() -> Self {
-        Self::with_config(SvrConfig {
-            lambda: 1e-2,
-            ..Default::default()
-        })
-    }
-
-    /// New RBF model with explicit hyperparameters.
-    pub fn with_config(config: SvrConfig) -> Self {
         Self {
-            config,
-            max_train: 600,
             support: Matrix::zeros(0, 0),
             alphas: Vec::new(),
             gamma: 1.0,
@@ -244,9 +86,9 @@ impl Regressor for KernelRidgeSvr {
         let (ym, ys) = self.target_stats;
 
         // subsample evenly when too large (keeps temporal spread)
-        let idx: Vec<usize> = if n_all > self.max_train {
-            let step = n_all as f64 / self.max_train as f64;
-            (0..self.max_train)
+        let idx: Vec<usize> = if n_all > MAX_TRAIN {
+            let step = n_all as f64 / MAX_TRAIN as f64;
+            (0..MAX_TRAIN)
                 .map(|i| ((i as f64 * step) as usize).min(n_all - 1))
                 .collect()
         } else {
@@ -267,26 +109,20 @@ impl Regressor for KernelRidgeSvr {
         }
 
         // gamma: median pairwise distance heuristic on a sample
-        self.gamma = match self.config.gamma {
-            Some(g) => g,
-            None => {
-                let m = n.min(100);
-                let mut dists = Vec::with_capacity(m * (m - 1) / 2);
-                for i in 0..m {
-                    for j in (i + 1)..m {
-                        let d2: f64 = support
-                            .row(i * n / m.max(1))
-                            .iter()
-                            .zip(support.row(j * n / m.max(1)))
-                            .map(|(a, b)| (a - b) * (a - b))
-                            .sum();
-                        dists.push(d2);
-                    }
-                }
-                let med = autoai_linalg::median(&dists).max(1e-9);
-                1.0 / med
+        let m = n.min(100);
+        let mut dists = Vec::with_capacity(m * (m - 1) / 2);
+        for i in 0..m {
+            for j in (i + 1)..m {
+                let d2: f64 = support
+                    .row(i * n / m.max(1))
+                    .iter()
+                    .zip(support.row(j * n / m.max(1)))
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum();
+                dists.push(d2);
             }
-        };
+        }
+        self.gamma = 1.0 / autoai_linalg::median(&dists).max(1e-9);
 
         // K + λI solve
         let mut k = Matrix::zeros(n, n);
@@ -304,7 +140,7 @@ impl Regressor for KernelRidgeSvr {
                 k[(i, j)] = v;
                 k[(j, i)] = v;
             }
-            k[(i, i)] += self.config.lambda.max(1e-9);
+            k[(i, i)] += LAMBDA;
         }
         let targets: Vec<f64> = idx.iter().map(|&i| (y[i] - ym) / ys).collect();
         self.alphas = cholesky_solve(&k, &targets)
@@ -332,39 +168,13 @@ impl Regressor for KernelRidgeSvr {
     }
 
     fn clone_unfitted(&self) -> Box<dyn Regressor> {
-        let mut c = Self::with_config(self.config.clone());
-        c.max_train = self.max_train;
-        Box::new(c)
+        Box::new(Self::new())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn linear_data() -> (Matrix, Vec<f64>) {
-        let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![(i % 9) as f64]).collect();
-        let y: Vec<f64> = rows.iter().map(|r| 2.0 * r[0] + 1.0).collect();
-        (Matrix::from_rows(&rows), y)
-    }
-
-    #[test]
-    fn linear_svr_fits_line() {
-        let (x, y) = linear_data();
-        let mut m = LinearSvr::with_config(SvrConfig {
-            epochs: 300,
-            ..Default::default()
-        });
-        m.fit(&x, &y).unwrap();
-        let preds = m.predict(&x);
-        let mae: f64 = preds
-            .iter()
-            .zip(&y)
-            .map(|(p, t)| (p - t).abs())
-            .sum::<f64>()
-            / y.len() as f64;
-        assert!(mae < 1.2, "linear svr MAE {mae}");
-    }
 
     #[test]
     fn kernel_svr_fits_nonlinear() {
@@ -390,32 +200,13 @@ mod tests {
         let x = Matrix::from_rows(&rows);
         let mut m = KernelRidgeSvr::new();
         m.fit(&x, &y).unwrap();
-        assert!(m.support.nrows() <= 600);
+        assert!(m.support.nrows() <= MAX_TRAIN);
         let p = m.predict_row(&[10.0]);
         assert!((p - 20.0).abs() < 2.0, "subsampled kernel prediction {p}");
     }
 
     #[test]
-    fn epsilon_tube_ignores_small_noise() {
-        // constant target with small jitter within the tube: weights ~ 0
-        let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (0..100)
-            .map(|i| 5.0 + 0.01 * ((i % 3) as f64 - 1.0))
-            .collect();
-        let x = Matrix::from_rows(&rows);
-        let mut m = LinearSvr::with_config(SvrConfig {
-            epsilon: 0.5,
-            epochs: 100,
-            ..Default::default()
-        });
-        m.fit(&x, &y).unwrap();
-        let p = m.predict_row(&[50.0]);
-        assert!((p - 5.0).abs() < 0.5, "tube prediction {p}");
-    }
-
-    #[test]
     fn empty_input_rejected() {
-        assert!(LinearSvr::new().fit(&Matrix::zeros(0, 1), &[]).is_err());
         assert!(KernelRidgeSvr::new()
             .fit(&Matrix::zeros(0, 1), &[])
             .is_err());

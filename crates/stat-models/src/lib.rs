@@ -32,7 +32,7 @@ pub use bats::{Bats, BatsConfig};
 pub use garch::Garch;
 pub use holtwinters::{HoltWinters, Seasonality};
 pub use incremental_ar::{BlockedSum, IncrementalAr};
-pub use simple::{DriftModel, SeasonalNaive, ThetaModel, ZeroModel};
+pub use simple::{SeasonalNaive, ThetaModel, ZeroModel};
 
 /// Error produced when a model cannot be fitted to the given data.
 #[derive(Debug, Clone, PartialEq, Eq)]

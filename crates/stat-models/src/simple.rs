@@ -1,4 +1,4 @@
-//! Baseline forecasters: Zero Model, seasonal naive, drift, and Theta.
+//! Baseline forecasters: Zero Model, seasonal naive, and Theta.
 //!
 //! §4: "the system trains a basic model; the *Zero Model* … almost
 //! immediately provides us with a baseline model that is available for use.
@@ -103,44 +103,6 @@ impl SeasonalNaive {
     pub fn forecast(&self, horizon: usize) -> Vec<f64> {
         assert!(!self.tail.is_empty(), "SeasonalNaive::forecast before fit");
         self.tail.iter().copied().cycle().take(horizon).collect()
-    }
-}
-
-/// Naive-with-drift: extrapolate the average slope between first and last
-/// observation.
-#[derive(Debug, Clone, Default)]
-pub struct DriftModel {
-    last: f64,
-    slope: f64,
-    fitted: bool,
-}
-
-impl DriftModel {
-    /// New unfitted model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Estimate the drift slope `(x_n - x_1) / (n - 1)`.
-    pub fn fit(&mut self, series: &[f64]) -> Result<(), FitError> {
-        let Some(&last) = series.last() else {
-            return Err(FitError::new("empty series"));
-        };
-        self.last = last;
-        self.slope = match series.first() {
-            Some(&first) if series.len() >= 2 => (last - first) / (series.len() - 1) as f64,
-            _ => 0.0,
-        };
-        self.fitted = true;
-        Ok(())
-    }
-
-    /// Linear extrapolation from the last observation.
-    pub fn forecast(&self, horizon: usize) -> Vec<f64> {
-        assert!(self.fitted, "DriftModel::forecast before fit");
-        (1..=horizon)
-            .map(|h| self.last + self.slope * h as f64)
-            .collect()
     }
 }
 
@@ -294,20 +256,6 @@ mod tests {
         let mut m = SeasonalNaive::new(10);
         m.fit(&[4.0, 5.0]).unwrap();
         assert_eq!(m.forecast(3), vec![4.0, 5.0, 4.0]);
-    }
-
-    #[test]
-    fn drift_extrapolates_line() {
-        let mut m = DriftModel::new();
-        m.fit(&[0.0, 1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(m.forecast(2), vec![4.0, 5.0]);
-    }
-
-    #[test]
-    fn drift_single_point_is_flat() {
-        let mut m = DriftModel::new();
-        m.fit(&[5.0]).unwrap();
-        assert_eq!(m.forecast(2), vec![5.0, 5.0]);
     }
 
     #[test]

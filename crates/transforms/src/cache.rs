@@ -706,7 +706,7 @@ impl TransformCache {
         // Use only fully initialized entries; never block on one mid-build.
         let old = slot.get()?.as_ref()?.clone();
         let old_count = old.data.len();
-        if old_count == 0 || old.data.anchors.is_some() {
+        if old_count == 0 {
             return None;
         }
         let grown = frame.len().checked_sub(old_fp.rows())?;
@@ -786,11 +786,7 @@ impl TransformCache {
             .fetch_add((grown as u64) * row_bytes, Ordering::Relaxed);
         self.bytes_saved
             .fetch_add((old_count as u64) * row_bytes, Ordering::Relaxed);
-        Some(WindowDataset {
-            x,
-            y,
-            anchors: None,
-        })
+        Some(WindowDataset { x, y })
     }
 }
 

@@ -10,18 +10,20 @@
 //! the stateful inverse transformation followed by stateless inverse
 //! transformation."
 //!
-//! This crate implements exactly that taxonomy plus the §4 architecture
-//! extras: interpolators, up/down resampling for irregular data, and
-//! *Detectors* that "capture various characteristics of data such as
-//! presence of negative or missing values, irregularly spaced data".
+//! This crate implements the part of that taxonomy the AutoAI-TS pipeline
+//! pool runs: the stateless [`LogTransform`], the stateful
+//! [`DifferenceTransform`], and the Flatten and Localized Flatten windowings
+//! in [`window`], plus the [`TransformCache`] that shares their outputs
+//! across T-Daub allocations and the [`ConformalScores`] behind calibrated
+//! prediction intervals. Data checks (negative, missing, constant,
+//! irregularly spaced values) live in `autoai_tsdata::quality_check`, which
+//! `AutoAITS::fit` runs before any pipeline sees the data.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod cache;
 pub mod conformal;
-pub mod detect;
-pub mod resample;
 pub mod stateful;
 pub mod stateless;
 pub mod traits;
@@ -29,14 +31,9 @@ pub mod window;
 
 pub use cache::{hit_mismatches, set_hit_verification, CacheStats, TransformCache};
 pub use conformal::ConformalScores;
-pub use detect::{detect_all, Detection, Detector};
-pub use resample::{downsample, resample_to_regular, upsample_linear};
 pub use stateful::DifferenceTransform;
-pub use stateless::{
-    BoxCoxTransform, FisherTransform, LogTransform, MinMaxScaler, SqrtTransform, StandardScaler,
-};
-pub use traits::{Transform, TransformChain};
+pub use stateless::LogTransform;
+pub use traits::Transform;
 pub use window::{
-    flatten_windows, latest_window, localized_flatten_windows, n_windows,
-    normalized_flatten_windows, WindowDataset,
+    flatten_windows, latest_window, localized_flatten_windows, n_windows, WindowDataset,
 };

@@ -115,10 +115,6 @@ impl Transform for DifferenceTransform {
         }
         out
     }
-
-    fn name(&self) -> &'static str {
-        "difference"
-    }
 }
 
 #[cfg(test)]
@@ -172,6 +168,30 @@ mod tests {
             t.inverse_transform(&TimeSeriesFrame::from_columns(vec![vec![3.0], vec![40.0]]));
         assert_eq!(restored.series(0), &[7.0]);
         assert_eq!(restored.series(1), &[100.0]);
+    }
+
+    #[test]
+    fn log_then_difference_inverts_in_reverse_order() {
+        use crate::stateless::LogTransform;
+        // the `*_log` window pipelines log first, then difference; a perfect
+        // forecast of the transformed values must map back onto the
+        // original-scale continuation when inverted difference-first
+        let data: Vec<f64> = (1..=40).map(|i| (i * i) as f64).collect();
+        let future: Vec<f64> = (41..=43).map(|i| (i * i) as f64).collect();
+        let mut log = LogTransform::new();
+        let mut diff = DifferenceTransform::new();
+        let _ = diff.fit_transform(&log.fit_transform(&TimeSeriesFrame::univariate(data.clone())));
+        let mut all = data.clone();
+        all.extend_from_slice(&future);
+        let logs: Vec<f64> = all.iter().map(|v| v.ln()).collect();
+        let cont_diffs: Vec<f64> = (data.len()..all.len())
+            .map(|i| logs[i] - logs[i - 1])
+            .collect();
+        let restored = log
+            .inverse_transform(&diff.inverse_transform(&TimeSeriesFrame::univariate(cont_diffs)));
+        for (r, t) in restored.series(0).iter().zip(&future) {
+            assert!((r - t).abs() < 1e-6 * t, "{r} vs {t}");
+        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Stateless (pointwise, invertible) transforms: log, Box-Cox, Fisher,
-//! square root, standardization, min-max scaling.
+//! Stateless (pointwise, invertible) transforms: the log transform the
+//! `*_log` window pipelines apply.
 //!
 //! "Stateless" in the paper means the transform does not remember sequence
-//! state — each value maps independently. The transforms still `fit`
-//! scalar parameters (offsets, scales, λ) from training data.
+//! state — each value maps independently. The transform still `fit`s a
+//! per-series offset from training data.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use autoai_linalg::golden_section_min;
 use autoai_tsdata::TimeSeriesFrame;
 
 use crate::traits::Transform;
@@ -86,317 +85,6 @@ impl Transform for LogTransform {
             v.exp() - self.offsets.get(c).copied().unwrap_or(0.0)
         })
     }
-
-    fn name(&self) -> &'static str {
-        "log"
-    }
-}
-
-/// Square-root transform with the same offset policy as [`LogTransform`].
-#[derive(Debug, Clone, Default)]
-pub struct SqrtTransform {
-    offsets: Vec<f64>,
-}
-
-impl SqrtTransform {
-    /// New unfitted sqrt transform.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Transform for SqrtTransform {
-    fn fit(&mut self, frame: &TimeSeriesFrame) {
-        self.offsets = (0..frame.n_series())
-            .map(|c| {
-                let min = frame
-                    .series(c)
-                    .iter()
-                    .cloned()
-                    .fold(f64::INFINITY, f64::min);
-                if min.is_finite() && min < 0.0 {
-                    -min
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-    }
-
-    fn transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            (v + self.offsets.get(c).copied().unwrap_or(0.0))
-                .max(0.0)
-                .sqrt()
-        })
-    }
-
-    fn inverse_transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            v * v - self.offsets.get(c).copied().unwrap_or(0.0)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "sqrt"
-    }
-}
-
-/// Box-Cox power transform `((x + c)^λ - 1) / λ` (λ → 0 degenerates to log).
-///
-/// λ is fitted per series by maximizing the Box-Cox log-likelihood with a
-/// golden-section search over λ ∈ [-1, 2], the range BATS uses.
-#[derive(Debug, Clone, Default)]
-pub struct BoxCoxTransform {
-    /// Per-series (offset, lambda).
-    params: Vec<(f64, f64)>,
-    /// How often `transform` had to clamp a non-positive (or NaN) shifted
-    /// value up to `1e-12` before the power transform. Shared across clones.
-    clamps: Arc<AtomicU64>,
-}
-
-impl BoxCoxTransform {
-    /// New unfitted Box-Cox transform.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fitted λ for series `c` (after `fit`).
-    pub fn lambda(&self, c: usize) -> Option<f64> {
-        self.params.get(c).map(|p| p.1)
-    }
-
-    /// Number of values `transform` has clamped to keep the power transform
-    /// finite (the forward direction only; the inverse clamp that keeps
-    /// out-of-range *model outputs* real is a numerical guard, not data
-    /// distortion). Zero on clean data covered by the fitted offset.
-    pub fn clamp_count(&self) -> u64 {
-        self.clamps.load(Ordering::Relaxed)
-    }
-
-    fn bc(v: f64, lambda: f64) -> f64 {
-        if lambda.abs() < 1e-6 {
-            v.max(1e-12).ln()
-        } else {
-            (v.max(1e-12).powf(lambda) - 1.0) / lambda
-        }
-    }
-
-    fn bc_inv(y: f64, lambda: f64) -> f64 {
-        if lambda.abs() < 1e-6 {
-            y.exp()
-        } else {
-            let base = lambda * y + 1.0;
-            // clamp to keep the inverse real for out-of-range model outputs
-            base.max(1e-12).powf(1.0 / lambda)
-        }
-    }
-
-    /// Negative Box-Cox log-likelihood of `x` (positive values) at `lambda`.
-    fn neg_loglik(x: &[f64], lambda: f64) -> f64 {
-        let n = x.len() as f64;
-        let y: Vec<f64> = x.iter().map(|&v| Self::bc(v, lambda)).collect();
-        let mean = y.iter().sum::<f64>() / n;
-        let var = y.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>() / n;
-        if var <= 0.0 {
-            return f64::INFINITY;
-        }
-        let log_jacobian: f64 = x.iter().map(|&v| v.max(1e-12).ln()).sum();
-        0.5 * n * var.ln() - (lambda - 1.0) * log_jacobian
-    }
-}
-
-impl Transform for BoxCoxTransform {
-    fn fit(&mut self, frame: &TimeSeriesFrame) {
-        self.params = (0..frame.n_series())
-            .map(|c| {
-                let s = frame.series(c);
-                let min = s.iter().cloned().fold(f64::INFINITY, f64::min);
-                let offset = if min.is_finite() && min <= 0.0 {
-                    1.0 - min
-                } else {
-                    0.0
-                };
-                let shifted: Vec<f64> = s.iter().map(|&v| v + offset).collect();
-                let lambda = golden_section_min(|l| Self::neg_loglik(&shifted, l), -1.0, 2.0, 1e-4);
-                (offset, lambda)
-            })
-            .collect();
-    }
-
-    fn transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            let (off, lam) = self.params.get(c).copied().unwrap_or((0.0, 1.0));
-            let shifted = v + off;
-            if !(shifted >= 1e-12) {
-                self.clamps.fetch_add(1, Ordering::Relaxed);
-            }
-            Self::bc(shifted, lam)
-        })
-    }
-
-    fn inverse_transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            let (off, lam) = self.params.get(c).copied().unwrap_or((0.0, 1.0));
-            Self::bc_inv(v, lam) - off
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "box_cox"
-    }
-}
-
-/// Fisher z-transform: values are min-max scaled into (-1, 1), then mapped
-/// with `atanh`. Spreads out values near the extremes of the range.
-#[derive(Debug, Clone, Default)]
-pub struct FisherTransform {
-    /// Per-series (min, max) from fit.
-    ranges: Vec<(f64, f64)>,
-}
-
-impl FisherTransform {
-    /// New unfitted Fisher transform.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The margin keeping scaled values strictly inside (-1, 1).
-    const MARGIN: f64 = 1e-3;
-
-    fn scale(v: f64, min: f64, max: f64) -> f64 {
-        let span = (max - min).max(1e-12);
-        let unit = (v - min) / span; // [0, 1] on train data
-        (unit * 2.0 - 1.0) * (1.0 - Self::MARGIN)
-    }
-
-    fn unscale(u: f64, min: f64, max: f64) -> f64 {
-        let span = (max - min).max(1e-12);
-        let unit = (u / (1.0 - Self::MARGIN) + 1.0) / 2.0;
-        unit * span + min
-    }
-}
-
-impl Transform for FisherTransform {
-    fn fit(&mut self, frame: &TimeSeriesFrame) {
-        self.ranges = (0..frame.n_series())
-            .map(|c| {
-                let s = frame.series(c);
-                let min = s.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = s.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                (min, max)
-            })
-            .collect();
-    }
-
-    fn transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            let (min, max) = self.ranges.get(c).copied().unwrap_or((0.0, 1.0));
-            let u = Self::scale(v, min, max).clamp(-1.0 + 1e-9, 1.0 - 1e-9);
-            u.atanh()
-        })
-    }
-
-    fn inverse_transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            let (min, max) = self.ranges.get(c).copied().unwrap_or((0.0, 1.0));
-            Self::unscale(v.tanh(), min, max)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "fisher"
-    }
-}
-
-/// Z-score standardization `(x - μ) / σ` per series.
-#[derive(Debug, Clone, Default)]
-pub struct StandardScaler {
-    /// Per-series (mean, std).
-    params: Vec<(f64, f64)>,
-}
-
-impl StandardScaler {
-    /// New unfitted standard scaler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Transform for StandardScaler {
-    fn fit(&mut self, frame: &TimeSeriesFrame) {
-        self.params = (0..frame.n_series())
-            .map(|c| {
-                let s = frame.series(c);
-                let mean = autoai_linalg::mean(s);
-                let std = autoai_linalg::std_dev(s).max(1e-12);
-                (mean, std)
-            })
-            .collect();
-    }
-
-    fn transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            let (m, s) = self.params.get(c).copied().unwrap_or((0.0, 1.0));
-            (v - m) / s
-        })
-    }
-
-    fn inverse_transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            let (m, s) = self.params.get(c).copied().unwrap_or((0.0, 1.0));
-            v * s + m
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "standard"
-    }
-}
-
-/// Min-max scaling into [0, 1] per series.
-#[derive(Debug, Clone, Default)]
-pub struct MinMaxScaler {
-    /// Per-series (min, max).
-    ranges: Vec<(f64, f64)>,
-}
-
-impl MinMaxScaler {
-    /// New unfitted min-max scaler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Transform for MinMaxScaler {
-    fn fit(&mut self, frame: &TimeSeriesFrame) {
-        self.ranges = (0..frame.n_series())
-            .map(|c| {
-                let s = frame.series(c);
-                let min = s.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = s.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                (min, max)
-            })
-            .collect();
-    }
-
-    fn transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            let (min, max) = self.ranges.get(c).copied().unwrap_or((0.0, 1.0));
-            (v - min) / (max - min).max(1e-12)
-        })
-    }
-
-    fn inverse_transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        map_frame(frame, |c, v| {
-            let (min, max) = self.ranges.get(c).copied().unwrap_or((0.0, 1.0));
-            v * (max - min).max(1e-12) + min
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "min_max"
-    }
 }
 
 #[cfg(test)]
@@ -408,7 +96,7 @@ mod tests {
         let tr = t.fit_transform(&f);
         let back = t.inverse_transform(&tr);
         for (a, b) in back.series(0).iter().zip(&data) {
-            assert!((a - b).abs() < tol, "{} roundtrip: {a} vs {b}", t.name());
+            assert!((a - b).abs() < tol, "roundtrip: {a} vs {b}");
         }
     }
 
@@ -423,15 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn log_and_boxcox_never_clamp_clean_fitted_data() {
+    fn log_never_clamps_clean_fitted_data() {
         let data = vec![-5.0, 0.0, 5.0, 12.5];
         let f = TimeSeriesFrame::univariate(data);
         let mut log = LogTransform::new();
         let _ = log.fit_transform(&f);
         assert_eq!(log.clamp_count(), 0);
-        let mut bc = BoxCoxTransform::new();
-        let _ = bc.fit_transform(&f);
-        assert_eq!(bc.clamp_count(), 0);
     }
 
     #[test]
@@ -444,10 +129,6 @@ mod tests {
         log.fit(&train);
         let _ = log.transform(&hostile);
         assert_eq!(log.clamp_count(), 3);
-        let mut bc = BoxCoxTransform::new();
-        bc.fit(&train);
-        let _ = bc.transform(&hostile);
-        assert_eq!(bc.clamp_count(), 3);
     }
 
     #[test]
@@ -458,92 +139,5 @@ mod tests {
         let clone = log.clone();
         let _ = clone.transform(&TimeSeriesFrame::univariate(vec![-1.0]));
         assert_eq!(log.clamp_count(), 1);
-    }
-
-    #[test]
-    fn sqrt_roundtrip() {
-        roundtrip(&mut SqrtTransform::new(), vec![0.0, 4.0, 9.0], 1e-9);
-        roundtrip(&mut SqrtTransform::new(), vec![-4.0, 0.0, 16.0], 1e-9);
-    }
-
-    #[test]
-    fn boxcox_roundtrip() {
-        roundtrip(
-            &mut BoxCoxTransform::new(),
-            vec![1.0, 5.0, 10.0, 50.0, 100.0],
-            1e-6,
-        );
-    }
-
-    #[test]
-    fn boxcox_lambda_near_zero_for_exponential_growth() {
-        // exponential data is linearized by log, so λ should be near 0
-        let data: Vec<f64> = (0..60).map(|i| (0.1 * i as f64).exp()).collect();
-        let mut t = BoxCoxTransform::new();
-        t.fit(&TimeSeriesFrame::univariate(data));
-        let lam = t.lambda(0).unwrap();
-        assert!(lam.abs() < 0.25, "lambda = {lam}");
-    }
-
-    #[test]
-    fn boxcox_lambda_near_one_for_linear_data() {
-        let data: Vec<f64> = (1..100).map(|i| i as f64).collect();
-        let mut t = BoxCoxTransform::new();
-        t.fit(&TimeSeriesFrame::univariate(data));
-        let lam = t.lambda(0).unwrap();
-        assert!(lam > 0.5, "lambda = {lam}");
-    }
-
-    #[test]
-    fn fisher_roundtrip() {
-        roundtrip(
-            &mut FisherTransform::new(),
-            vec![1.0, 2.0, 3.0, 4.0, 5.0],
-            1e-6,
-        );
-    }
-
-    #[test]
-    fn standard_scaler_statistics() {
-        let f = TimeSeriesFrame::univariate(vec![2.0, 4.0, 6.0, 8.0]);
-        let mut t = StandardScaler::new();
-        let tr = t.fit_transform(&f);
-        let m = autoai_linalg::mean(tr.series(0));
-        let s = autoai_linalg::std_dev(tr.series(0));
-        assert!(m.abs() < 1e-12);
-        assert!((s - 1.0).abs() < 1e-9);
-        roundtrip(&mut StandardScaler::new(), vec![2.0, 4.0, 6.0], 1e-9);
-    }
-
-    #[test]
-    fn minmax_bounds() {
-        let f = TimeSeriesFrame::univariate(vec![10.0, 20.0, 30.0]);
-        let mut t = MinMaxScaler::new();
-        let tr = t.fit_transform(&f);
-        assert_eq!(tr.series(0)[0], 0.0);
-        assert_eq!(tr.series(0)[2], 1.0);
-        roundtrip(&mut MinMaxScaler::new(), vec![10.0, 20.0, 30.0], 1e-9);
-    }
-
-    #[test]
-    fn multivariate_per_series_parameters() {
-        let f = TimeSeriesFrame::from_columns(vec![vec![1.0, 2.0, 3.0], vec![100.0, 200.0, 300.0]]);
-        let mut t = StandardScaler::new();
-        let tr = t.fit_transform(&f);
-        // both series standardized independently to the same z-scores
-        for i in 0..3 {
-            assert!((tr.series(0)[i] - tr.series(1)[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn constant_series_do_not_divide_by_zero() {
-        let f = TimeSeriesFrame::univariate(vec![5.0; 10]);
-        let mut t = StandardScaler::new();
-        let tr = t.fit_transform(&f);
-        assert!(tr.series(0).iter().all(|v| v.is_finite()));
-        let mut t2 = MinMaxScaler::new();
-        let tr2 = t2.fit_transform(&f);
-        assert!(tr2.series(0).iter().all(|v| v.is_finite()));
     }
 }

@@ -1,4 +1,4 @@
-//! The sklearn-style transformer contract and ordered chains.
+//! The sklearn-style transformer contract.
 
 use autoai_tsdata::TimeSeriesFrame;
 
@@ -26,135 +26,5 @@ pub trait Transform: Send + Sync {
     fn fit_transform(&mut self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
         self.fit(frame);
         self.transform(frame)
-    }
-
-    /// Human-readable name used in pipeline descriptions.
-    fn name(&self) -> &'static str;
-}
-
-/// An ordered chain of transforms applied left to right; the inverse is
-/// applied right to left ("inverse transformations are applied in the
-/// reverse order of application", §3).
-#[derive(Default)]
-pub struct TransformChain {
-    steps: Vec<Box<dyn Transform>>,
-}
-
-impl TransformChain {
-    /// Empty chain (identity).
-    pub fn new() -> Self {
-        Self { steps: Vec::new() }
-    }
-
-    /// Append a transform to the end of the chain.
-    pub fn push(mut self, t: Box<dyn Transform>) -> Self {
-        self.steps.push(t);
-        self
-    }
-
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True when the chain is empty.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Fit every step in order, feeding each the output of the previous.
-    pub fn fit_transform(&mut self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        let mut cur = frame.clone();
-        for s in &mut self.steps {
-            cur = s.fit_transform(&cur);
-        }
-        cur
-    }
-
-    /// Apply every step in order (after fitting).
-    pub fn transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        let mut cur = frame.clone();
-        for s in &self.steps {
-            cur = s.transform(&cur);
-        }
-        cur
-    }
-
-    /// Apply inverse transforms in reverse order.
-    pub fn inverse_transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        let mut cur = frame.clone();
-        for s in self.steps.iter().rev() {
-            cur = s.inverse_transform(&cur);
-        }
-        cur
-    }
-
-    /// Names of the chained steps, for pipeline descriptions.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.steps.iter().map(|s| s.name()).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::stateless::{LogTransform, StandardScaler};
-
-    #[test]
-    fn chain_applies_in_order_and_inverts_in_reverse() {
-        let data = TimeSeriesFrame::univariate(vec![1.0, 10.0, 100.0, 1000.0]);
-        let mut chain = TransformChain::new()
-            .push(Box::new(LogTransform::new()))
-            .push(Box::new(StandardScaler::new()));
-        let t = chain.fit_transform(&data);
-        // standardized log values: mean 0
-        let m: f64 = t.series(0).iter().sum::<f64>() / 4.0;
-        assert!(m.abs() < 1e-9);
-        let back = chain.inverse_transform(&t);
-        for (a, b) in back.series(0).iter().zip(data.series(0)) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn empty_chain_is_identity() {
-        let data = TimeSeriesFrame::univariate(vec![1.0, 2.0]);
-        let mut chain = TransformChain::new();
-        assert!(chain.is_empty());
-        let t = chain.fit_transform(&data);
-        assert_eq!(t, data);
-        assert_eq!(chain.inverse_transform(&t), data);
-    }
-
-    #[test]
-    fn chain_with_difference_integrates_forecasts() {
-        use crate::stateful::DifferenceTransform;
-        // log then difference; a perfect forecast of transformed values
-        // must map back onto the original-scale continuation
-        let data: Vec<f64> = (1..=40).map(|i| (i * i) as f64).collect();
-        let future: Vec<f64> = (41..=43).map(|i| (i * i) as f64).collect();
-        let frame = TimeSeriesFrame::univariate(data.clone());
-        let mut chain = TransformChain::new()
-            .push(Box::new(LogTransform::new()))
-            .push(Box::new(DifferenceTransform::new()));
-        let _ = chain.fit_transform(&frame);
-        // transformed continuation: diff of log of [data ++ future]
-        let mut all = data.clone();
-        all.extend_from_slice(&future);
-        let logs: Vec<f64> = all.iter().map(|v| v.ln()).collect();
-        let cont_diffs: Vec<f64> = (data.len()..all.len())
-            .map(|i| logs[i] - logs[i - 1])
-            .collect();
-        let restored = chain.inverse_transform(&TimeSeriesFrame::univariate(cont_diffs));
-        for (r, t) in restored.series(0).iter().zip(&future) {
-            assert!((r - t).abs() < 1e-6 * t, "{r} vs {t}");
-        }
-    }
-
-    #[test]
-    fn chain_names() {
-        let chain = TransformChain::new().push(Box::new(LogTransform::new()));
-        assert_eq!(chain.names(), vec!["log"]);
-        assert_eq!(chain.len(), 1);
     }
 }

@@ -4,17 +4,13 @@
 //! The paper's stateful Flatten transforms reshape sequences into IID-style
 //! learning problems: a look-back window of history becomes the feature
 //! vector and the next `horizon` values become the multi-output target.
-//! Three variants are used by the AutoAI-TS pipelines:
+//! Two variants are used by the AutoAI-TS pipelines:
 //!
 //! * **Flatten** — all series in the window are concatenated (series-major)
 //!   into one feature vector; the target stacks the next `horizon` values of
 //!   all series. One global model sees every series.
 //! * **Localized Flatten** — one dataset *per series*; each series is
 //!   predicted from its own history only.
-//! * **Normalized Flatten** — like Flatten, but every window is divided by a
-//!   per-window, per-series anchor (the last value of the window), making
-//!   the learning problem scale-free; anchors are returned so forecasts can
-//!   be denormalized.
 //!
 //! The kernels here are the T-Daub hot loop: every (pipeline × allocation)
 //! unit runs one of them. They are written index-free (iterator chunks and
@@ -33,9 +29,6 @@ pub struct WindowDataset {
     pub x: Matrix,
     /// Targets: `n_windows x (horizon * n_series)`.
     pub y: Matrix,
-    /// Per-window, per-series normalization anchors (`n_windows x n_series`),
-    /// present only for the normalized variant.
-    pub anchors: Option<Matrix>,
 }
 
 impl WindowDataset {
@@ -55,9 +48,7 @@ impl WindowDataset {
         fn matrix_bytes(m: &Matrix) -> u64 {
             (m.nrows() as u64) * (m.ncols() as u64) * 8
         }
-        matrix_bytes(&self.x)
-            + matrix_bytes(&self.y)
-            + self.anchors.as_ref().map_or(0, matrix_bytes)
+        matrix_bytes(&self.x) + matrix_bytes(&self.y)
     }
 }
 
@@ -117,11 +108,7 @@ pub fn flatten_windows(frame: &TimeSeriesFrame, lookback: usize, horizon: usize)
         x.rows_iter_mut(),
         y.rows_iter_mut(),
     );
-    WindowDataset {
-        x,
-        y,
-        anchors: None,
-    }
+    WindowDataset { x, y }
 }
 
 /// Localized Flatten: one per-series dataset, each predicting a series from
@@ -134,40 +121,6 @@ pub fn localized_flatten_windows(
     (0..frame.n_series())
         .map(|c| flatten_windows(&frame.select(c), lookback, horizon))
         .collect()
-}
-
-/// Normalized Flatten: joint windows divided by per-window per-series
-/// anchors (last window value; 1.0 when that value is ~0).
-pub fn normalized_flatten_windows(
-    frame: &TimeSeriesFrame,
-    lookback: usize,
-    horizon: usize,
-) -> WindowDataset {
-    let mut ds = flatten_windows(frame, lookback, horizon);
-    let mut anchors = Matrix::zeros(ds.len(), frame.n_series());
-    let window_rows =
-        ds.x.rows_iter_mut()
-            .zip(ds.y.rows_iter_mut())
-            .zip(anchors.rows_iter_mut());
-    for ((xr, yr), ar) in window_rows {
-        let series_chunks = xr
-            .chunks_mut(lookback)
-            .zip(yr.chunks_mut(horizon))
-            .zip(ar.iter_mut());
-        for ((xchunk, ychunk), a) in series_chunks {
-            let last = xchunk.last().copied().unwrap_or(1.0);
-            let anchor = if last.abs() > 1e-9 { last } else { 1.0 };
-            *a = anchor;
-            for v in xchunk.iter_mut() {
-                *v /= anchor;
-            }
-            for v in ychunk.iter_mut() {
-                *v /= anchor;
-            }
-        }
-    }
-    ds.anchors = Some(anchors);
-    ds
 }
 
 /// The trailing look-back window of a frame flattened into one feature
@@ -248,27 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn normalized_windows_divide_by_last_value() {
-        let ds = normalized_flatten_windows(&frame(), 2, 1);
-        // window 0 series 0: [1,2] anchored at 2 → [0.5, 1.0]; y 3/2 = 1.5
-        assert!((ds.x[(0, 0)] - 0.5).abs() < 1e-12);
-        assert!((ds.x[(0, 1)] - 1.0).abs() < 1e-12);
-        assert!((ds.y[(0, 0)] - 1.5).abs() < 1e-12);
-        let anchors = ds.anchors.as_ref().unwrap();
-        assert_eq!(anchors[(0, 0)], 2.0);
-        assert_eq!(anchors[(0, 1)], 20.0);
-    }
-
-    #[test]
-    fn normalized_zero_anchor_falls_back_to_one() {
-        let f = TimeSeriesFrame::univariate(vec![5.0, 0.0, 3.0]);
-        let ds = normalized_flatten_windows(&f, 2, 1);
-        let anchors = ds.anchors.as_ref().unwrap();
-        assert_eq!(anchors[(0, 0)], 1.0); // last of [5, 0] is 0 → fallback
-        assert_eq!(ds.y[(0, 0)], 3.0);
-    }
-
-    #[test]
     fn latest_window_extracts_tail() {
         let w = latest_window(&frame(), 3).unwrap();
         assert_eq!(w, vec![4., 5., 6., 40., 50., 60.]);
@@ -280,9 +212,6 @@ mod tests {
         let ds = flatten_windows(&frame(), 3, 2);
         // x: 2x6, y: 2x4 → (12 + 8) * 8 bytes
         assert_eq!(ds.bytes(), 160);
-        let nds = normalized_flatten_windows(&frame(), 3, 2);
-        // anchors add 2x2 cells
-        assert_eq!(nds.bytes(), 160 + 32);
     }
 
     #[test]

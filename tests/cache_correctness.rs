@@ -63,13 +63,7 @@ fn datasets_bit_equal(a: &WindowDataset, b: &WindowDataset) -> bool {
                     .all(|(u, v)| u.to_bits() == v.to_bits())
             })
     }
-    rows_equal(&a.x, &b.x)
-        && rows_equal(&a.y, &b.y)
-        && match (&a.anchors, &b.anchors) {
-            (None, None) => true,
-            (Some(m), Some(n)) => rows_equal(m, n),
-            _ => false,
-        }
+    rows_equal(&a.x, &b.x) && rows_equal(&a.y, &b.y)
 }
 
 // ---- zero-copy views --------------------------------------------------

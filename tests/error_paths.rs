@@ -6,7 +6,6 @@ use autoai_ts_repro::linalg::{cholesky, cholesky_solve, lstsq, solve_linear, Mat
 use autoai_ts_repro::lookback::{discover_univariate, LookbackConfig};
 use autoai_ts_repro::pipelines::{Forecaster, ZeroModelPipeline};
 use autoai_ts_repro::tdaub::{run_tdaub, TDaubConfig};
-use autoai_ts_repro::transforms::{BoxCoxTransform, Transform};
 use autoai_ts_repro::tsdata::{mape, smape, TimeSeriesFrame};
 
 #[test]
@@ -69,25 +68,6 @@ fn metrics_on_all_zero_targets_are_finite() {
     // MAPE skips zero-actual samples entirely: all-zero target → sentinel 0
     assert_eq!(mape(&zeros, &nonzero), 0.0);
     assert!(mape(&zeros, &zeros).is_finite());
-}
-
-#[test]
-fn box_cox_handles_non_positive_series() {
-    // negative and zero values: fit must shift, transform must stay finite
-    let frame = TimeSeriesFrame::univariate(vec![-5.0, -1.0, 0.0, 2.0, 7.0, -3.0, 4.0, 0.0]);
-    let mut t = BoxCoxTransform::new();
-    let tr = t.fit_transform(&frame);
-    assert!(tr.series(0).iter().all(|v| v.is_finite()));
-    let back = t.inverse_transform(&tr);
-    for (b, o) in back.series(0).iter().zip(frame.series(0)) {
-        assert!((b - o).abs() < 1e-3 * (1.0 + o.abs()), "{b} vs {o}");
-    }
-    // all-constant non-positive series: likelihood is degenerate but fit
-    // must still produce finite output
-    let flat = TimeSeriesFrame::univariate(vec![-2.0; 12]);
-    let mut t2 = BoxCoxTransform::new();
-    let tr2 = t2.fit_transform(&flat);
-    assert!(tr2.series(0).iter().all(|v| v.is_finite()));
 }
 
 #[test]

@@ -8,8 +8,7 @@
 use autoai_ts_repro::linalg;
 use autoai_ts_repro::linalg::{parallel_try_map_range, Rng64};
 use autoai_ts_repro::transforms::{
-    flatten_windows, localized_flatten_windows, normalized_flatten_windows, DifferenceTransform,
-    LogTransform, MinMaxScaler, StandardScaler, Transform,
+    flatten_windows, localized_flatten_windows, DifferenceTransform, LogTransform, Transform,
 };
 use autoai_ts_repro::tsdata::{
     rank_rows, reverse_allocation, smape, train_test_split, TimeSeriesFrame,
@@ -60,25 +59,6 @@ fn log_transform_roundtrip() {
 }
 
 #[test]
-fn scaler_roundtrips() {
-    let mut rng = Rng64::seed_from_u64(0x5CA1E);
-    for _ in 0..CASES {
-        let a = finite_series(&mut rng, 64);
-        for t in [
-            &mut StandardScaler::new() as &mut dyn Transform,
-            &mut MinMaxScaler::new(),
-        ] {
-            let frame = TimeSeriesFrame::univariate(a.clone());
-            let tr = t.fit_transform(&frame);
-            let back = t.inverse_transform(&tr);
-            for (x, y) in back.series(0).iter().zip(&a) {
-                assert!((x - y).abs() < 1e-6 * (1.0 + y.abs()), "{x} vs {y}");
-            }
-        }
-    }
-}
-
-#[test]
 fn difference_forecast_integration_inverts() {
     let mut rng = Rng64::seed_from_u64(0xD1FF);
     for _ in 0..CASES {
@@ -121,22 +101,6 @@ fn window_shapes_are_consistent() {
             for (k, &ak) in a.iter().enumerate().take(lookback) {
                 assert_eq!(ds.x[(0, k)], ak);
             }
-        }
-    }
-}
-
-#[test]
-fn normalized_windows_have_unit_anchor() {
-    let mut rng = Rng64::seed_from_u64(0xA17C);
-    for _ in 0..CASES {
-        let len = rng.gen_range(16..64);
-        let a: Vec<f64> = (0..len).map(|_| rng.range_f64(1.0, 1e4)).collect();
-        let lookback = rng.gen_range(2..8);
-        let frame = TimeSeriesFrame::univariate(a);
-        let ds = normalized_flatten_windows(&frame, lookback, 1);
-        for w in 0..ds.len() {
-            // last value of every normalized window is 1 by construction
-            assert!((ds.x[(w, lookback - 1)] - 1.0).abs() < 1e-9);
         }
     }
 }
