@@ -342,6 +342,112 @@ mod tests {
         assert_eq!(bounded_v.to_bits(), unbounded_v.to_bits());
     }
 
+    /// One pinned search: argmin bits, min bits, objective calls and the
+    /// timeout flag.
+    fn pinned(
+        mut f: impl FnMut(&[f64]) -> f64,
+        x0: &[f64],
+        opts: &NelderMeadOptions,
+    ) -> (Vec<u64>, u64, usize, bool) {
+        let mut calls = 0usize;
+        let (x, v, timed_out) = nelder_mead(
+            |p| {
+                calls += 1;
+                f(p)
+            },
+            x0,
+            opts,
+        );
+        let bits = x.iter().map(|c| c.to_bits()).collect();
+        (bits, v.to_bits(), calls, timed_out)
+    }
+
+    /// The searches below, run on the simplex loop as it stood before its
+    /// candidate buffers were preallocated: every bit of the argmin and the
+    /// min and the exact objective call count. A buffer change that moves
+    /// an operation, a comparison or the vertex order moves one of them.
+    #[test]
+    fn pinned_searches_keep_their_bits_and_call_counts() {
+        let quadratic = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
+        let rosenbrock = |x: &[f64]| {
+            let a = 1.0 - x[0];
+            let b = x[1] - x[0] * x[0];
+            a * a + 100.0 * b * b
+        };
+        // infinite right of x0 = 0.04 with the minimum beyond that wall:
+        // the start simplex has an infinite vertex whose contraction is
+        // infinite too, so the search shrinks, and later reflections land
+        // past the wall and force contractions along it
+        let walled = |x: &[f64]| {
+            if x[0] > 0.04 {
+                f64::INFINITY
+            } else {
+                (x[0] - 2.0).powi(2) + (x[1] - 1.5).powi(2)
+            }
+        };
+        let one_d = |x: &[f64]| (x[0] - 0.7).powi(2) + 0.3 * (x[0] - 0.7).powi(4);
+        let defaults = NelderMeadOptions::default();
+        let long = NelderMeadOptions {
+            max_evals: 10_000,
+            ..Default::default()
+        };
+        let expired = NelderMeadOptions {
+            deadline: Some(std::time::Instant::now()),
+            ..Default::default()
+        };
+        let cases = [
+            (
+                "quadratic",
+                pinned(quadratic, &[0.0, 0.0], &defaults),
+                (
+                    vec![4613937818242519112, 13830554455384737594],
+                    4382059056040306642,
+                    139,
+                    false,
+                ),
+            ),
+            (
+                "rosenbrock",
+                pinned(rosenbrock, &[-1.2, 1.0], &long),
+                (
+                    vec![4607182418860334896, 4607182418918369662],
+                    4372306602498216712,
+                    236,
+                    false,
+                ),
+            ),
+            (
+                "walled",
+                pinned(walled, &[0.0, 0.0], &defaults),
+                (
+                    vec![4585925428558828642, 4609434218700773486],
+                    4615832932964270659,
+                    276,
+                    false,
+                ),
+            ),
+            (
+                "one-d",
+                pinned(one_d, &[4.0], &defaults),
+                (vec![4604480259023595084], 4171775814200721408, 56, false),
+            ),
+            (
+                // only the start simplex is evaluated
+                "expired",
+                pinned(quadratic, &[0.5, 0.25], &expired),
+                (
+                    vec![4603129179135383962, 4598175219545276416],
+                    4620203451222652356,
+                    3,
+                    true,
+                ),
+            ),
+        ];
+        for (name, got, want) in cases {
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
     #[test]
     fn golden_section_finds_parabola_min() {
         let x = golden_section_min(|x| (x - 2.5).powi(2), 0.0, 10.0, 1e-8);
