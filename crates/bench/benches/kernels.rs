@@ -8,9 +8,9 @@
 //!
 //! * default — full measurement; writes the machine-readable
 //!   `BENCH_kernels.json` at the repo root (per-kernel naive/fast wall
-//!   times and speedups, plus the ungated `cart` row: fit times of the
-//!   AutoEnsembler's 60-round GBM and 30-tree forest on one seeded
-//!   window matrix).
+//!   times and speedups, the ungated `css` row, plus the ungated `cart`
+//!   row: fit times of the AutoEnsembler's 60-round GBM and 30-tree forest
+//!   on one seeded window matrix).
 //! * `--smoke` — reduced sizes, no JSON; asserts every gated kernel
 //!   (matmul, gram) stays ≥ 2× ahead of its naive reference, and that
 //!   all kernels agree with the references within a reassociation-sized
@@ -23,6 +23,12 @@
 //! so every mode pins that structure instead: `dot` must match
 //! [`four_lane_dot`] bit for bit on the seeded vectors, which a sequential
 //! reduction does not.
+//!
+//! The `css` row times ARIMA's CSS objective (`CssObjective::sse`, one
+//! reused residual buffer) against [`naive_css`], the allocating loop with
+//! a lag guard at every step that it replaced, on 64 seeded points of a
+//! seasonal (3,1,3)(1,1,1)₁₂ spec. Every mode asserts both give the same
+//! SSE bits on every point; the speed-up is telemetry (`gated: false`).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -32,6 +38,8 @@ use autoai_ml_models::{
     GradientBoostingConfig, GradientBoostingRegressor, RandomForestConfig, RandomForestRegressor,
     Regressor,
 };
+use autoai_stat_models::arima::CssObjective;
+use autoai_stat_models::ArimaSpec;
 
 // ---- naive references (the pre-optimization loop shapes) ---------------
 
@@ -88,6 +96,41 @@ fn naive_t_matvec(a: &Matrix, v: &[f64]) -> Vec<f64> {
     (0..a.ncols())
         .map(|j| (0..a.nrows()).map(|r| a[(r, j)] * v[r]).sum())
         .collect()
+}
+
+/// The CSS objective as one allocating loop with a `t >= l` guard on every
+/// lag at every step: the shape `CssObjective` replaced, and the bits it
+/// must keep.
+fn naive_css(wc: &[f64], ar_lags: &[usize], ma_lags: &[usize], params: &[f64]) -> f64 {
+    if params.iter().any(|c| c.abs() > 5.0) {
+        return f64::INFINITY;
+    }
+    let (ar, ma) = params.split_at(ar_lags.len().min(params.len()));
+    let max_lag = ar_lags.iter().chain(ma_lags).copied().max().unwrap_or(0);
+    if wc.len() <= max_lag {
+        return f64::INFINITY;
+    }
+    let mut e = vec![0.0; wc.len()];
+    let mut sse = 0.0;
+    for t in 0..wc.len() {
+        let mut pred = 0.0;
+        for (&l, &c) in ar_lags.iter().zip(ar) {
+            if t >= l {
+                pred += c * wc[t - l];
+            }
+        }
+        for (&l, &c) in ma_lags.iter().zip(ma) {
+            if t >= l {
+                pred += c * e[t - l];
+            }
+        }
+        let et = wc[t] - pred;
+        e[t] = et;
+        if t >= max_lag {
+            sse += et * et;
+        }
+    }
+    sse
 }
 
 // ---- harness -----------------------------------------------------------
@@ -261,6 +304,53 @@ fn main() {
         gated: false,
     });
 
+    // CSS: the objective every ARIMA order fit hands Nelder–Mead, on a
+    // seasonal (3,1,3)(1,1,1)_12 spec over seeded coefficient points, each
+    // inside the |c| <= 5 guard. Timed against the loop it replaced, whose
+    // SSE bits it must keep on every point; the ratio is telemetry.
+    let (css_rows, css_points) = (300, 64);
+    let mut css_rng = Rng64::seed_from_u64(0xC55);
+    let css_series: Vec<f64> = (0..css_rows)
+        .map(|t| {
+            let t = t as f64;
+            100.0
+                + 0.2 * t
+                + 15.0 * (2.0 * std::f64::consts::PI * t / 12.0).sin()
+                + 4.0 * css_rng.normal()
+        })
+        .collect();
+    // runtime lag sets, as a fit derives them from its spec: constant
+    // arrays would let the reference unroll its lag loops
+    let (ar_lags, ma_lags) = (black_box(vec![1, 2, 3, 12]), black_box(vec![1, 2, 3, 12]));
+    let points: Vec<Vec<f64>> = (0..css_points)
+        .map(|_| (0..8).map(|_| css_rng.range_f64(-0.9, 0.9)).collect())
+        .collect();
+    let mut css = CssObjective::new(&css_series, ArimaSpec::seasonal(3, 1, 3, 1, 1, 1, 12));
+    let wc = css.centred().to_vec();
+    for (i, p) in points.iter().enumerate() {
+        let (fast, slow) = (css.sse(p), naive_css(&wc, &ar_lags, &ma_lags, p));
+        assert!(fast.is_finite(), "css point {i} left the guarded region");
+        assert_eq!(
+            fast.to_bits(),
+            slow.to_bits(),
+            "css point {i} diverged from the reference loop: {fast:e} vs {slow:e}"
+        );
+    }
+    results.push(KernelResult {
+        name: "css",
+        naive_ms: measure_ms(reps, 4, || {
+            for p in &points {
+                black_box(naive_css(black_box(&wc), &ar_lags, &ma_lags, black_box(p)));
+            }
+        }),
+        fast_ms: measure_ms(reps, 4, || {
+            for p in &points {
+                black_box(css.sse(black_box(p)));
+            }
+        }),
+        gated: false,
+    });
+
     // CART: the AutoEnsembler's GBM and random-forest candidates, fitted on
     // the worker pool as the tournament runs them. Telemetry, not gated —
     // there is no naive reference, only the tree builder's own history.
@@ -293,7 +383,7 @@ fn main() {
             r.speedup(),
             match (r.gated, r.name) {
                 (true, _) => "  [gated >= 2x]",
-                (false, "dot") => "  [bit-pinned]",
+                (false, "dot" | "css") => "  [bit-pinned]",
                 _ => "",
             }
         );
@@ -315,7 +405,10 @@ fn main() {
             min_gated >= 2.0,
             "kernel speedup bar not met: {min_gated:.2}x (need 2x)"
         );
-        println!("smoke: matmul/gram speedups >= 2x, dot bit-pinned, references matched");
+        println!(
+            "smoke: matmul/gram speedups >= 2x, dot bit-pinned, css bit-equal to its reference \
+             loop, references matched"
+        );
         return;
     }
 
@@ -340,7 +433,7 @@ fn main() {
          \"gbm_ms\": {gbm_ms:.4}, \"forest_ms\": {forest_ms:.4}, \"gated\": false}}"
     ));
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3}\n}}\n",
+        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"css_shape\": [{css_rows}, {css_points}],\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3}\n}}\n",
         kernel_json.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

@@ -13,7 +13,14 @@
 //! so that an objective could amortize setup across them, costs about three
 //! evaluations per iteration where the search uses one or two. An objective
 //! that reuses scratch between calls keeps it in its `FnMut` state instead
-//! (BATS's smoothing recursion does).
+//! (BATS's smoothing recursion and ARIMA's CSS recursion do).
+//!
+//! The search's own iterations allocate nothing either: the centroid and
+//! the reflection, expansion and contraction points live in buffers sized
+//! once per search, and an accepted point is copied into the worst vertex.
+//! The arithmetic, the comparisons and the stable sort are those of the
+//! textbook loop, so argmins, minima and objective call counts keep their
+//! bits (`pinned_searches_keep_their_bits_and_call_counts`).
 
 /// Options controlling the Nelder–Mead simplex search.
 #[derive(Debug, Clone)]
@@ -94,7 +101,11 @@ pub fn nelder_mead(
         .collect();
     let mut evals = simplex.len();
     let mut timed_out = false;
+    // the centroid and the candidate points, sized once per search
     let mut centroid = vec![0.0; n];
+    let mut reflect = vec![0.0; n];
+    let mut expand = vec![0.0; n];
+    let mut contract = vec![0.0; n];
 
     while evals < opts.max_evals {
         if let Some(deadline) = opts.deadline {
@@ -134,41 +145,42 @@ pub fn nelder_mead(
             }
         }
 
-        let reflect: Vec<f64> = centroid
-            .iter()
-            .zip(x_worst)
-            .map(|(&c, &w)| c + alpha * (c - w))
-            .collect();
+        for ((r, &c), &w) in reflect.iter_mut().zip(&centroid).zip(x_worst) {
+            *r = c + alpha * (c - w);
+        }
         let fr = eval(&reflect);
         evals += 1;
 
         let replacement = if fr < f_best {
             // expansion
-            let expand: Vec<f64> = centroid
-                .iter()
-                .zip(x_worst)
-                .map(|(&c, &w)| c + gamma * (c - w))
-                .collect();
+            for ((e, &c), &w) in expand.iter_mut().zip(&centroid).zip(x_worst) {
+                *e = c + gamma * (c - w);
+            }
             let fe = eval(&expand);
             evals += 1;
-            Some(if fe < fr { (expand, fe) } else { (reflect, fr) })
+            Some(if fe < fr {
+                (&expand, fe)
+            } else {
+                (&reflect, fr)
+            })
         } else if fr < f_next {
-            Some((reflect, fr))
+            Some((&reflect, fr))
         } else {
             // contraction
-            let contract: Vec<f64> = centroid
-                .iter()
-                .zip(x_worst)
-                .map(|(&c, &w)| c + rho * (w - c))
-                .collect();
+            for ((k, &c), &w) in contract.iter_mut().zip(&centroid).zip(x_worst) {
+                *k = c + rho * (w - c);
+            }
             let fc = eval(&contract);
             evals += 1;
-            (fc < f_worst).then_some((contract, fc))
+            (fc < f_worst).then_some((&contract, fc))
         };
         match replacement {
-            Some(vertex) => {
-                if let Some(worst) = simplex.last_mut() {
-                    *worst = vertex;
+            Some((point, v)) => {
+                if let Some((worst, f_worst)) = simplex.last_mut() {
+                    for (x, &p) in worst.iter_mut().zip(point.iter()) {
+                        *x = p;
+                    }
+                    *f_worst = v;
                 }
             }
             None => {

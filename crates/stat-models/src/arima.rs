@@ -11,12 +11,20 @@
 //! the paper benchmarks (Table 3: `start_p=1, start_q=1, max_p=3, max_q=3,
 //! m=12, seasonal=True, d=1, D=1`).
 //!
-//! Each hill-climb step fits its (up to four) neighbouring orders side by
-//! side on the shared worker pool (`parallel_try_map_range`). The serial
-//! walk moves to the first improving neighbour in candidate order; the
-//! fan-out keeps that rule by merging in candidate order and by skipping
-//! neighbours after one already known to improve. Selections are therefore
-//! bit-identical to a serial walk.
+//! Cost structure. Every order fit minimizes the CSS objective with
+//! Nelder–Mead, one point per call, through a [`CssObjective`] that owns
+//! the differenced series and one residual buffer, so an evaluation
+//! allocates nothing; its AR terms vectorize across the series and only
+//! the MA recursion runs step by step. The arithmetic keeps the plain
+//! one-loop recursion's order, so SSEs and residuals are bit-identical to
+//! it. Each hill-climb step fits its (up to four) neighbouring orders side
+//! by side on the shared worker pool (`parallel_try_map_range`). The
+//! serial walk moves to the first improving neighbour in candidate order;
+//! the fan-out keeps that rule by merging in candidate order and by
+//! skipping neighbours after one already known to improve, and an order
+//! the walk has already scored is never fitted again (it cannot beat a
+//! later bar). Selections are therefore bit-identical to a serial walk
+//! that refits every neighbour.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -127,6 +135,155 @@ fn difference(x: &[f64], lag: usize, times: usize) -> Vec<f64> {
     cur
 }
 
+/// The conditional-sum-of-squares objective of one ARIMA specification on
+/// one series: the mean-centred differenced series, the specification's
+/// lag sets and one residual buffer, sized once and reused by every
+/// evaluation, so an evaluation allocates nothing.
+///
+/// The AR part of every step's prediction is accumulated lag by lag over
+/// the whole series into the residual buffer, one stride-1 loop per lag
+/// that vectorizes. The MA part reads earlier residuals, so it then runs
+/// step by step; only the first `max_lag` steps check that a lag reaches
+/// back into the series, and the lag-1 residual stays in a register. A
+/// pure-AR specification needs no step-by-step loop but the SSE sum. Each
+/// step still adds `0.0 + c₁w + c₂w + …` in lag order, then its MA terms in
+/// lag order, so every SSE and residual has the bits of the plain one-loop
+/// recursion.
+#[derive(Debug, Clone)]
+pub struct CssObjective {
+    /// Mean-centred differenced series.
+    wc: Vec<f64>,
+    /// Mean of the differenced series.
+    mean: f64,
+    ar_lags: Vec<usize>,
+    ma_lags: Vec<usize>,
+    /// Largest AR or MA lag; steps before it do not count towards the SSE.
+    max_lag: usize,
+    /// Residuals of the last evaluated point; between the AR and MA passes
+    /// each slot holds the step's AR prediction.
+    e: Vec<f64>,
+}
+
+impl CssObjective {
+    /// The objective of `spec` on `series`: seasonal differencing first,
+    /// then regular, then centring on the mean.
+    pub fn new(series: &[f64], spec: ArimaSpec) -> Self {
+        let mut w = series.to_vec();
+        if let Some(s) = spec.seasonal {
+            w = difference(&w, s.m, s.d);
+        }
+        w = difference(&w, 1, spec.d);
+        let mean = autoai_linalg::mean(&w);
+        let wc: Vec<f64> = w.iter().map(|v| v - mean).collect();
+        let ar_lags = spec.ar_lags();
+        let ma_lags = spec.ma_lags();
+        let max_lag = ar_lags.iter().chain(&ma_lags).copied().max().unwrap_or(0);
+        Self {
+            e: vec![0.0; wc.len()],
+            wc,
+            mean,
+            ar_lags,
+            ma_lags,
+            max_lag,
+        }
+    }
+
+    /// The mean-centred differenced series the recursion runs over.
+    pub fn centred(&self) -> &[f64] {
+        &self.wc
+    }
+
+    /// The SSE at `params` (AR coefficients in lag order, then MA): `+∞`
+    /// past the soft stationarity/invertibility guard `|c| > 5` or when the
+    /// series is no longer than the largest lag.
+    pub fn sse(&mut self, params: &[f64]) -> f64 {
+        if params.iter().any(|c| c.abs() > 5.0) {
+            return f64::INFINITY;
+        }
+        let (ar, ma) = params.split_at(self.ar_lags.len().min(params.len()));
+        self.run(ar, ma).unwrap_or(f64::INFINITY)
+    }
+
+    /// Run the recursion at the given coefficients, leaving the residuals
+    /// in `e`; the SSE over the steps from `max_lag` on, or `None` when the
+    /// series is no longer than `max_lag`.
+    fn run(&mut self, ar: &[f64], ma: &[f64]) -> Option<f64> {
+        let Self {
+            wc,
+            ar_lags,
+            ma_lags,
+            max_lag,
+            e,
+            ..
+        } = self;
+        let (n, max_lag) = (wc.len(), *max_lag);
+        if n <= max_lag {
+            return None;
+        }
+        e.clear();
+        e.resize(n, 0.0);
+        // AR: step t gains c * w[t - l] for every lag l <= t
+        for (&l, &c) in ar_lags.iter().zip(ar) {
+            if let Some(tail) = e.get_mut(l..) {
+                for (pred, &w) in tail.iter_mut().zip(wc.iter()) {
+                    *pred += c * w;
+                }
+            }
+        }
+        if ma_lags.is_empty() || ma.is_empty() {
+            for (et, &w) in e.iter_mut().zip(wc.iter()) {
+                *et = w - *et;
+            }
+            return Some(e.iter().skip(max_lag).fold(0.0, |sse, &et| sse + et * et));
+        }
+        // MA, step by step: the first max_lag steps skip the lags that
+        // reach before the series start
+        for (t, &w) in wc.iter().enumerate().take(max_lag) {
+            let mut pred = e.get(t).copied().unwrap_or_default();
+            for (&l, &c) in ma_lags.iter().zip(ma) {
+                match t.checked_sub(l).and_then(|i| e.get(i)) {
+                    // a lag-0 term (a seasonal period of 0) reads the step's
+                    // own residual before it is written: 0.0
+                    Some(_) if l == 0 => pred += c * 0.0,
+                    Some(&past) => pred += c * past,
+                    None => {}
+                }
+            }
+            if let Some(et) = e.get_mut(t) {
+                *et = w - pred;
+            }
+        }
+        // the step's own residual is the next step's lag-1 term: carried in
+        // a register, it skips a store-to-load round trip on the chain that
+        // serializes the steps
+        let mut last = max_lag
+            .checked_sub(1)
+            .and_then(|i| e.get(i))
+            .copied()
+            .unwrap_or_default();
+        let mut sse = 0.0;
+        for (t, &w) in wc.iter().enumerate().skip(max_lag) {
+            let mut pred = e.get(t).copied().unwrap_or_default();
+            for (&l, &c) in ma_lags.iter().zip(ma) {
+                let past = match l {
+                    0 => 0.0,
+                    1 => last,
+                    // t >= max_lag >= l
+                    _ => e.get(t - l).copied().unwrap_or_default(),
+                };
+                pred += c * past;
+            }
+            let et = w - pred;
+            if let Some(slot) = e.get_mut(t) {
+                *slot = et;
+            }
+            last = et;
+            sse += et * et;
+        }
+        Some(sse)
+    }
+}
+
 /// A fitted ARIMA model.
 #[derive(Debug, Clone)]
 pub struct Arima {
@@ -218,22 +375,13 @@ impl Arima {
         if series.iter().any(|v| !v.is_finite()) {
             return Err(FitError::new("series contains non-finite values"));
         }
-        // 1. difference: seasonal first, then regular
-        let mut w = series.to_vec();
-        if let Some(s) = spec.seasonal {
-            w = difference(&w, s.m, s.d);
-        }
-        w = difference(&w, 1, spec.d);
-        if w.len() < spec.k_params() + 4 {
+        // 1. difference (seasonal first, then regular) and centre
+        let mut css = CssObjective::new(series, spec);
+        if css.wc.len() < spec.k_params() + 4 {
             return Err(FitError::new("not enough data after differencing"));
         }
-        let mean = autoai_linalg::mean(&w);
-        let wc: Vec<f64> = w.iter().map(|v| v - mean).collect();
-
-        let ar_lags = spec.ar_lags();
-        let ma_lags = spec.ma_lags();
-        let n_ar = ar_lags.len();
-        let n_ma = ma_lags.len();
+        let n_ar = css.ar_lags.len();
+        let n_ma = css.ma_lags.len();
 
         // 2. initialize: a warm seed from a previous fit wins; otherwise
         // AR by OLS lag regression, MA at 0
@@ -241,6 +389,7 @@ impl Arima {
         match warm.filter(|w| w.len() == init.len()) {
             Some(w) => init.copy_from_slice(w),
             None if n_ar > 0 => {
+                let (wc, ar_lags) = (&css.wc, &css.ar_lags);
                 let max_lag = ar_lags.last().copied().unwrap_or(0);
                 if wc.len() > max_lag + 2 {
                     let rows: Vec<Vec<f64>> = (max_lag..wc.len())
@@ -265,27 +414,14 @@ impl Arima {
             None => {}
         }
 
-        // 3. CSS objective
-        let css = |params: &[f64]| -> f64 {
-            // soft stationarity/invertibility guard
-            if params.iter().any(|c| c.abs() > 5.0) {
-                return f64::INFINITY;
-            }
-            let (ar_part, ma_part) = params.split_at(n_ar.min(params.len()));
-            let (e, sse) = Self::css_residuals(&wc, &ar_lags, ar_part, &ma_lags, ma_part);
-            if e.is_empty() {
-                f64::INFINITY
-            } else {
-                sse
-            }
-        };
+        // 3. minimize the CSS objective
         let (params, timed_out) = if n_ar + n_ma > 0 {
             let opts = NelderMeadOptions {
                 max_evals: 800 * (n_ar + n_ma),
                 deadline,
                 ..Default::default()
             };
-            let (params, _, timed_out) = nelder_mead(css, &init, &opts);
+            let (params, _, timed_out) = nelder_mead(|p| css.sse(p), &init, &opts);
             (params, timed_out)
         } else {
             (Vec::new(), false)
@@ -293,7 +429,19 @@ impl Arima {
         let (ar_part, ma_part) = params.split_at(n_ar.min(params.len()));
         let ar_coefs = ar_part.to_vec();
         let ma_coefs = ma_part.to_vec();
-        let (residuals, sse) = Self::css_residuals(&wc, &ar_lags, &ar_coefs, &ma_lags, &ma_coefs);
+        // the residual pass runs the objective's recursion, without its
+        // coefficient guard
+        let sse = css.run(&ar_coefs, &ma_coefs);
+        let CssObjective {
+            wc,
+            mean,
+            ar_lags,
+            ma_lags,
+            e,
+            ..
+        } = css;
+        let residuals = if sse.is_some() { e } else { Vec::new() };
+        let sse = sse.unwrap_or(f64::INFINITY);
         let n_eff = residuals.len().max(1) as f64;
         let sigma2 = (sse / n_eff).max(1e-300);
         let k = spec.k_params() as f64 + 1.0; // + sigma2
@@ -318,46 +466,6 @@ impl Arima {
             residuals,
             history: series.to_vec(),
         })
-    }
-
-    /// CSS recursion: residuals of the mean-centered differenced series.
-    fn css_residuals(
-        wc: &[f64],
-        ar_lags: &[usize],
-        ar: &[f64],
-        ma_lags: &[usize],
-        ma: &[f64],
-    ) -> (Vec<f64>, f64) {
-        let max_lag = ar_lags.iter().chain(ma_lags).copied().max().unwrap_or(0);
-        if wc.len() <= max_lag {
-            return (Vec::new(), f64::INFINITY);
-        }
-        let n = wc.len();
-        let mut e = vec![0.0; n];
-        let mut sse = 0.0;
-        for t in 0..n {
-            let mut pred = 0.0;
-            for (&l, &c) in ar_lags.iter().zip(ar) {
-                if t >= l {
-                    // tscheck:allow(strict-index): guarded by t >= l with t < n == wc.len()
-                    pred += c * wc[t - l];
-                }
-            }
-            for (&l, &c) in ma_lags.iter().zip(ma) {
-                if t >= l {
-                    // tscheck:allow(strict-index): guarded by t >= l with t < n == e.len()
-                    pred += c * e[t - l];
-                }
-            }
-            // tscheck:allow(strict-index): t < n and both vectors have length n
-            let et = wc[t] - pred;
-            // tscheck:allow(strict-index): t < n == e.len()
-            e[t] = et;
-            if t >= max_lag {
-                sse += et * et;
-            }
-        }
-        (e, sse)
     }
 
     /// Forecast `horizon` future values on the original scale.
@@ -641,6 +749,9 @@ fn auto_arima_impl(
         .or_else(|| Arima::fit_with_deadline(series, ArimaSpec::new(1, d, 0), deadline).ok())
         .or_else(|| Arima::fit_with_deadline(series, ArimaSpec::new(0, d, 0), deadline).ok())
         .ok_or_else(|| FitError::new("auto_arima: no candidate model could be fitted"))?;
+    // the orders the serial walk has evaluated: none of them can improve
+    // on a later bar, so none is fitted twice
+    let mut visited = vec![(p, q)];
     loop {
         if expired() {
             // the hill climb was cut short: mark the winner so callers can
@@ -661,6 +772,10 @@ fn auto_arima_impl(
         if q > 0 {
             candidates.push((p, q - 1));
         }
+        // a visited order scored `aic >= bar` against the bar of its step,
+        // and every move since has only lowered the bar, so dropping it
+        // leaves the first improving neighbour where it was
+        candidates.retain(|c| !visited.contains(c));
         let bar = best.aic - 1e-9;
         // once neighbour `i` is known to improve, later ones are skipped
         // (`first_hit`); the merge takes the first improving neighbour in
@@ -681,6 +796,10 @@ fn auto_arima_impl(
         });
         let mut improved = false;
         for (fit, &(cp, cq)) in fits.into_iter().zip(&candidates) {
+            // up to and including the first improving neighbour, as the
+            // serial walk would have fitted them (fits the fan-out ran past
+            // it are not recorded, and a skipped one ends the walk)
+            visited.push((cp, cq));
             match fit {
                 Ok(Neighbour::Fitted(Some(model))) if model.aic < bar => {
                     best = model;
@@ -732,6 +851,135 @@ mod tests {
             x[t] = phi * x[t - 1] + noise * e;
         }
         x
+    }
+
+    /// The original CSS recursion, one allocating loop with a `t >= l`
+    /// guard on every lag at every step, kept as the reference
+    /// [`CssObjective`] must match bit for bit. Residuals are empty when
+    /// the series is no longer than the largest lag.
+    fn reference_css(
+        wc: &[f64],
+        ar_lags: &[usize],
+        ar: &[f64],
+        ma_lags: &[usize],
+        ma: &[f64],
+    ) -> (Vec<f64>, f64) {
+        let max_lag = ar_lags.iter().chain(ma_lags).copied().max().unwrap_or(0);
+        if wc.len() <= max_lag {
+            return (Vec::new(), f64::INFINITY);
+        }
+        let n = wc.len();
+        let mut e = vec![0.0; n];
+        let mut sse = 0.0;
+        for t in 0..n {
+            let mut pred = 0.0;
+            for (&l, &c) in ar_lags.iter().zip(ar) {
+                if t >= l {
+                    pred += c * wc[t - l];
+                }
+            }
+            for (&l, &c) in ma_lags.iter().zip(ma) {
+                if t >= l {
+                    pred += c * e[t - l];
+                }
+            }
+            let et = wc[t] - pred;
+            e[t] = et;
+            if t >= max_lag {
+                sse += et * et;
+            }
+        }
+        (e, sse)
+    }
+
+    /// The reference objective: the `|c| > 5` guard, then the recursion.
+    fn reference_sse(css: &CssObjective, params: &[f64]) -> f64 {
+        if params.iter().any(|c| c.abs() > 5.0) {
+            return f64::INFINITY;
+        }
+        let (ar, ma) = params.split_at(css.ar_lags.len().min(params.len()));
+        let (e, sse) = reference_css(&css.wc, &css.ar_lags, ar, &css.ma_lags, ma);
+        if e.is_empty() {
+            f64::INFINITY
+        } else {
+            sse
+        }
+    }
+
+    /// Equal bits, or both NaN: a NaN's payload is not part of the
+    /// contract (an SSE that is not finite reads as `+∞` to the search).
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn css_objective_matches_reference_recursion_bitwise() {
+        let base = ar1_series(0.6, 320, 31, 0.5);
+        let series: Vec<f64> = base
+            .iter()
+            .enumerate()
+            .map(|(i, v)| 20.0 + 0.05 * i as f64 + [0., 3., 8., 2., -4., -9.][i % 6] + v)
+            .collect();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 1.8 - 0.9
+        };
+        let specs = [
+            ("(3,1,3)", ArimaSpec::new(3, 1, 3)),
+            ("m=12", ArimaSpec::seasonal(3, 1, 3, 1, 1, 1, 12)),
+            ("m=4", ArimaSpec::seasonal(2, 0, 1, 1, 1, 1, 4)),
+            ("pure AR", ArimaSpec::seasonal(3, 1, 0, 1, 0, 0, 12)),
+            ("pure MA", ArimaSpec::new(0, 1, 3)),
+            // a seasonal period of 0 puts lag-0 terms in both lag sets
+            ("lag 0", ArimaSpec::seasonal(1, 1, 1, 1, 0, 1, 0)),
+        ];
+        for (name, spec) in specs {
+            // one objective reused across every point: a stale residual
+            // must not leak from one call into the next
+            let mut css = CssObjective::new(&series, spec);
+            let dim = css.ar_lags.len() + css.ma_lags.len();
+            let mut points: Vec<Vec<f64>> = (0..12)
+                .map(|_| (0..dim).map(|_| next()).collect())
+                .collect();
+            // midway: one point past the |c| > 5 guard, one whose
+            // recursion goes non-finite after dirtying the buffer; the
+            // points after them prove the buffer resets
+            points[5][0] = 5.5;
+            points[6][dim - 1] = f64::NAN;
+            for (i, p) in points.iter().enumerate() {
+                let got = css.sse(p);
+                let want = reference_sse(&css, p);
+                assert!(
+                    same_bits(got, want),
+                    "{name} point {i}: {got:e} vs {want:e}"
+                );
+                assert_eq!(got.is_finite(), i != 5 && i != 6, "{name} point {i}");
+                if i == 5 {
+                    continue; // the guard runs no recursion
+                }
+                let (ar, ma) = p.split_at(css.ar_lags.len());
+                let (e, _) = reference_css(&css.wc, &css.ar_lags, ar, &css.ma_lags, ma);
+                assert_eq!(css.e.len(), e.len(), "{name} point {i}");
+                for (t, (&a, &b)) in css.e.iter().zip(&e).enumerate() {
+                    assert!(
+                        same_bits(a, b),
+                        "{name} point {i} residual {t}: {a:e} vs {b:e}"
+                    );
+                }
+            }
+        }
+        // a series no longer than the largest lag has no residuals
+        let spec = ArimaSpec::seasonal(1, 0, 1, 1, 0, 1, 12);
+        for len in [0, 5, 12] {
+            let mut css = CssObjective::new(&series[..len], spec);
+            assert_eq!(css.sse(&[0.3, 0.2, -0.1, 0.1]), f64::INFINITY, "len {len}");
+            assert_eq!(css.run(&[0.3, 0.2], &[-0.1, 0.1]), None, "len {len}");
+            let (e, sse) = reference_css(&css.wc, &css.ar_lags, &[0.3, 0.2], &css.ma_lags, &[]);
+            assert!(e.is_empty() && sse == f64::INFINITY);
+        }
     }
 
     #[test]
@@ -993,6 +1241,105 @@ mod tests {
                 assert_eq!(&r.unwrap().unwrap(), want, "m={m} item {i}");
             }
         }
+    }
+
+    /// The stepwise walk as a plain serial loop with no deadline: no
+    /// fan-out, no memo, every neighbour refitted in candidate order.
+    /// Returns the winner and the number of fits that re-scored an order
+    /// the same walk had already fitted.
+    fn reference_walk(
+        series: &[f64],
+        max_p: usize,
+        max_q: usize,
+        m: usize,
+        seed: Option<&Arima>,
+    ) -> (Arima, usize) {
+        let d = ndiffs(series, 2);
+        let seasonal = (m >= 2
+            && series.len() >= 3 * m + 10
+            && autoai_linalg::autocorrelation(&difference(series, 1, d), m) > 0.3)
+            .then_some(SeasonalSpec {
+                p: 1,
+                d: 1,
+                q: 1,
+                m,
+            });
+        let seed = seed.filter(|s| s.spec.d == d && s.spec.seasonal == seasonal);
+        let mut fitted = Vec::new();
+        let mut revisits = 0;
+        let mut try_fit = |p: usize, q: usize| {
+            revisits += usize::from(fitted.contains(&(p, q)));
+            fitted.push((p, q));
+            let spec = ArimaSpec { p, d, q, seasonal };
+            match seed.filter(|s| s.spec == spec) {
+                Some(s) => Arima::fit_seeded_with_deadline(series, spec, s, None).ok(),
+                None => Arima::fit(series, spec).ok(),
+            }
+        };
+        let (mut p, mut q) = seed.map_or((1.min(max_p), 1.min(max_q)), |s| {
+            (s.spec.p.min(max_p), s.spec.q.min(max_q))
+        });
+        let mut best = try_fit(p, q)
+            .or_else(|| Arima::fit(series, ArimaSpec::new(1, d, 0)).ok())
+            .or_else(|| Arima::fit(series, ArimaSpec::new(0, d, 0)).ok())
+            .unwrap();
+        loop {
+            let mut candidates = Vec::new();
+            if p < max_p {
+                candidates.push((p + 1, q));
+            }
+            if q < max_q {
+                candidates.push((p, q + 1));
+            }
+            if p > 0 {
+                candidates.push((p - 1, q));
+            }
+            if q > 0 {
+                candidates.push((p, q - 1));
+            }
+            let bar = best.aic - 1e-9;
+            let step = candidates
+                .into_iter()
+                .find_map(|(cp, cq)| try_fit(cp, cq).filter(|m| m.aic < bar).map(|m| (m, cp, cq)));
+            let Some((model, cp, cq)) = step else {
+                break;
+            };
+            (best, p, q) = (model, cp, cq);
+        }
+        (best, revisits)
+    }
+
+    #[test]
+    fn order_memo_selects_what_a_serial_walk_that_refits_every_order_selects() {
+        let pin = |m: &Arima| {
+            let mut v = vec![m.aic.to_bits()];
+            v.extend(m.forecast(12).iter().map(|f| f.to_bits()));
+            (m.spec, v)
+        };
+        let catalog = autoai_datasets::univariate_catalog();
+        let mut revisits = 0;
+        for (name, m) in [
+            ("a10", 12),
+            ("auscafe", 12),
+            ("departures", 12),
+            ("ausbeer", 4),
+            ("qcement", 4),
+        ] {
+            let entry = catalog.iter().find(|e| e.name == name).unwrap();
+            let frame = entry.generate(1);
+            let y = frame.series(0);
+            let (want, n) = reference_walk(y, 3, 3, m, None);
+            revisits += n;
+            assert_eq!(pin(&auto_arima(y, 3, 3, m).unwrap()), pin(&want), "{name}");
+            let seed = auto_arima(&y[..y.len() - 40], 3, 3, m).unwrap();
+            let (want, n) = reference_walk(y, 3, 3, m, Some(&seed));
+            revisits += n;
+            let got = auto_arima_seeded_with_deadline(y, 3, 3, m, &seed, None).unwrap();
+            assert_eq!(pin(&got), pin(&want), "{name} seeded");
+        }
+        // the walks did step back onto scored orders, so the memo was
+        // exercised, not merely never consulted
+        assert!(revisits > 0);
     }
 
     #[test]

@@ -320,13 +320,8 @@ impl<'a> EsRecursion<'a> {
             // period j's update sees the already-updated terms of the
             // periods before it, exactly as the reference recursion does
             for (j, (&g, &slot)) in self.gammas.iter().zip(&self.slots).enumerate() {
-                let other: f64 = self
-                    .cur
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, _)| k != j)
-                    .map(|(_, &v)| v)
-                    .sum();
+                let (before, rest) = self.cur.split_at(j);
+                let other: f64 = before.iter().chain(rest.iter().skip(1)).sum();
                 if let Some(c) = self.cur.get_mut(j) {
                     *c = g * (x - p.level - other) + (1.0 - g) * *c;
                     if let Some(s) = self.seasonals.get_mut(slot) {

@@ -44,7 +44,7 @@ cargo test -q --offline --release --test online_drift
 echo "==> tdaub bench smoke (cache effectiveness, warm starts, fits avoided, ranking parity, warm re-selection <= 0.6x cold)"
 cargo bench -q --offline -p autoai-bench --bench tdaub -- --smoke
 
-echo "==> kernels bench smoke (matmul and gram >= 2x naive, dot bit-pinned to its four-lane reduction, matched against naive references)"
+echo "==> kernels bench smoke (matmul and gram >= 2x naive, dot bit-pinned to its four-lane reduction, css SSEs bit-equal to the allocating reference loop, matched against naive references)"
 cargo bench -q --offline -p autoai-bench --bench kernels -- --smoke
 
 echo "check.sh: all gates passed"
