@@ -207,11 +207,10 @@ pub struct ServiceStats {
     pub cache_resident_bytes: u64,
 }
 
-/// One stored series: the live frame plus its growth lineage.
+/// One stored series: the live frame and its pending quality issues.
 struct SeriesState {
     name: String,
     frame: TimeSeriesFrame,
-    lineage: Vec<GrowthRecord>,
     /// Quality issues reported by `observe` since the last fit; the next
     /// fit drains them into its summary.
     pending_issues: Vec<QualityIssue>,
@@ -335,13 +334,11 @@ impl ForecastService {
                     let retired = slot.frame.fingerprint();
                     self.cache.purge_buffers(retired.buffers());
                     slot.frame = frame;
-                    slot.lineage.clear();
                     slot.pending_issues.clear();
                 }
                 None => state.push(SeriesState {
                     name: name.to_string(),
                     frame,
-                    lineage: Vec::new(),
                     pending_issues: Vec::new(),
                 }),
             }
@@ -411,7 +408,6 @@ impl ForecastService {
                 self.cache.purge_buffers(record.base.buffers());
             }
             slot.frame = grown;
-            slot.lineage.push(record.clone());
             if let Some(issue) = record.timestamp_issue.clone() {
                 // dropped timestamps used to live only in the growth record:
                 // count them in the stats and stash the issue for the next
@@ -430,20 +426,6 @@ impl ForecastService {
             self.reselect_series(name);
         }
         Ok(record)
-    }
-
-    /// The growth lineage recorded by `observe` calls since ingest.
-    pub fn lineage(&self, name: &str) -> Vec<GrowthRecord> {
-        self.service_state
-            .lock()
-            .ok()
-            .and_then(|state| {
-                state
-                    .iter()
-                    .find(|s| s.name == name)
-                    .map(|s| s.lineage.clone())
-            })
-            .unwrap_or_default()
     }
 
     /// Fingerprint the stored series currently presents to a fit request.
@@ -1218,7 +1200,6 @@ mod tests {
             "stored series must grow without severing identity: {record:?}"
         );
         assert!(record.grown.extends_as_prefix(&record.base));
-        assert_eq!(svc.lineage("cpu").len(), 1);
         // the grown frame is what the next fit sees
         assert_eq!(svc.series_fingerprint("cpu"), Some(record.grown.clone()));
     }

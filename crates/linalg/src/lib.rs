@@ -34,6 +34,4 @@ pub use stats::{
     autocorrelation, autocovariance, levinson_durbin, mean, median, partial_autocorrelation,
     quantile, std_dev, variance, yule_walker, zero_crossings,
 };
-pub use sync::{
-    inversion_count, set_abort_on_inversion, set_runtime_tracking, OrderedMutex, OrderedRwLock,
-};
+pub use sync::{inversion_count, set_abort_on_inversion, set_runtime_tracking, OrderedMutex};

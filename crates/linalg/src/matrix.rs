@@ -132,11 +132,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consume into the underlying row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
@@ -277,13 +272,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Scale all entries in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
         }
     }
 

@@ -149,6 +149,8 @@ mod tests {
     }
 
     #[test]
+    // the reversed range is the case under test, not a typo
+    #[allow(clippy::reversed_empty_ranges)]
     fn empty_range_does_not_panic() {
         let mut r = Rng64::seed_from_u64(0);
         assert_eq!(r.gen_range(5..5), 5);

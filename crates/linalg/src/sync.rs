@@ -1,10 +1,10 @@
 //! Named lock wrappers with a runtime lock-order sanitizer.
 //!
-//! Every lock in the workspace is constructed through [`OrderedMutex`] or
-//! [`OrderedRwLock`] (the `tscheck` `raw-lock` rule enforces this). Each
-//! wrapper carries a `&'static str` name identifying its *order class*:
-//! locks that protect the same kind of state share a name (e.g. every
-//! per-item cell in the parallel work queue is `"par.cell"`).
+//! Every lock in the workspace is constructed through [`OrderedMutex`]
+//! (the `tscheck` `raw-lock` rule enforces this). Each mutex carries a
+//! `&'static str` name identifying its *order class*: locks that protect
+//! the same kind of state share a name (e.g. every per-item cell in the
+//! parallel work queue is `"par.cell"`).
 //!
 //! Under `debug_assertions` — and in release builds after
 //! [`set_runtime_tracking`]`(true)` — each acquisition attempt is checked
@@ -27,17 +27,15 @@
 //! and is strictly a leaf: it is never held while acquiring a user lock,
 //! so it cannot participate in any cycle.
 //!
-//! Poisoning passes straight through: `lock()`/`read()`/`write()` return
-//! [`std::sync::LockResult`] exactly like the std types, so call sites
+//! Poisoning passes straight through: `lock()` returns
+//! [`std::sync::LockResult`] exactly like the std type, so call sites
 //! keep their existing `Ok`/`Err` handling.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{
-    LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{LockResult, Mutex, MutexGuard, PoisonError};
 
 /// Opt-in flag: when set, tracking runs even in release builds.
 static RUNTIME_TRACKING: AtomicBool = AtomicBool::new(false);
@@ -250,130 +248,6 @@ impl<T> Drop for OrderedMutexGuard<'_, T> {
     }
 }
 
-/// A named [`std::sync::RwLock`] participating in lock-order tracking.
-/// Read and write acquisitions share the lock's single order class.
-pub struct OrderedRwLock<T> {
-    name: &'static str,
-    inner: RwLock<T>,
-}
-
-impl<T> OrderedRwLock<T> {
-    /// Create a new named rwlock. `const` so it can back `static` cells.
-    pub const fn new(name: &'static str, value: T) -> Self {
-        Self {
-            name,
-            inner: RwLock::new(value),
-        }
-    }
-
-    /// The lock's order-class name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Acquire a shared read guard, recording the acquisition.
-    pub fn read(&self) -> LockResult<OrderedReadGuard<'_, T>> {
-        let tracked = before_acquire(self.name);
-        let (inner, poisoned) = match self.inner.read() {
-            Ok(g) => (g, false),
-            Err(p) => (p.into_inner(), true),
-        };
-        if tracked {
-            after_acquire(self.name);
-        }
-        let guard = OrderedReadGuard {
-            name: self.name,
-            tracked,
-            inner,
-        };
-        if poisoned {
-            Err(PoisonError::new(guard))
-        } else {
-            Ok(guard)
-        }
-    }
-
-    /// Acquire an exclusive write guard, recording the acquisition.
-    pub fn write(&self) -> LockResult<OrderedWriteGuard<'_, T>> {
-        let tracked = before_acquire(self.name);
-        let (inner, poisoned) = match self.inner.write() {
-            Ok(g) => (g, false),
-            Err(p) => (p.into_inner(), true),
-        };
-        if tracked {
-            after_acquire(self.name);
-        }
-        let guard = OrderedWriteGuard {
-            name: self.name,
-            tracked,
-            inner,
-        };
-        if poisoned {
-            Err(PoisonError::new(guard))
-        } else {
-            Ok(guard)
-        }
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for OrderedRwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OrderedRwLock")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-/// Shared read guard for [`OrderedRwLock`].
-pub struct OrderedReadGuard<'a, T> {
-    name: &'static str,
-    tracked: bool,
-    inner: RwLockReadGuard<'a, T>,
-}
-
-impl<T> Deref for OrderedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> Drop for OrderedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.tracked {
-            release(self.name);
-        }
-    }
-}
-
-/// Exclusive write guard for [`OrderedRwLock`].
-pub struct OrderedWriteGuard<'a, T> {
-    name: &'static str,
-    tracked: bool,
-    inner: RwLockWriteGuard<'a, T>,
-}
-
-impl<T> Deref for OrderedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> DerefMut for OrderedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> Drop for OrderedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.tracked {
-            release(self.name);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,24 +354,5 @@ mod tests {
             panic!("expected the lock to be poisoned");
         };
         assert_eq!(*poisoned.into_inner(), 7);
-    }
-
-    #[test]
-    fn rwlock_read_write_track_and_release() {
-        let _g = locked_gate();
-        set_runtime_tracking(true);
-        let l = OrderedRwLock::new("test.rw", 5u32);
-        {
-            let r = l.read().unwrap_or_else(PoisonError::into_inner);
-            assert_eq!(*r, 5);
-        }
-        {
-            let mut w = l.write().unwrap_or_else(PoisonError::into_inner);
-            *w = 6;
-        }
-        let r = l.read().unwrap_or_else(PoisonError::into_inner);
-        assert_eq!(*r, 6);
-        assert_eq!(inversion_count(), 0);
-        set_runtime_tracking(false);
     }
 }

@@ -13,17 +13,6 @@
 use autoai_linalg::{lstsq, Matrix, Rng64};
 use autoai_ml_models::{RandomForestConfig, RandomForestRegressor, Regressor};
 
-/// The three per-candidate quality measures of the influence vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InfluenceMeasure {
-    /// Overall F-statistic of a linear regression `y ~ X` (higher = better).
-    FTest,
-    /// Binned mutual information between window mean and target (higher = better).
-    MutualInformation,
-    /// Holdout MAE of a small random forest (lower = better).
-    ForestMae,
-}
-
 /// Sample up to `max_windows` random `(window, next value)` pairs.
 fn sample_windows(
     series: &[f64],

@@ -32,5 +32,5 @@ pub mod seasonal;
 
 pub use discover::{discover_multivariate, discover_univariate, LookbackConfig, MultivariateMode};
 pub use estimators::{spectral_lookback, zero_crossing_lookback};
-pub use influence::{influence_order, InfluenceMeasure};
+pub use influence::influence_order;
 pub use seasonal::seasonal_periods;

@@ -221,12 +221,6 @@ impl IntervalForecast {
         Some((self.lower.get(idx)?, self.upper.get(idx)?))
     }
 
-    /// Lower and upper band frames for an exact coverage `level`.
-    pub fn band_at_level(&self, level: f64) -> Option<(&TimeSeriesFrame, &TimeSeriesFrame)> {
-        let idx = self.levels.iter().position(|l| *l == level)?;
-        self.band(idx)
-    }
-
     /// Where the uncertainty estimate came from.
     pub fn source(&self) -> IntervalSource {
         self.source

@@ -315,7 +315,8 @@ pub struct Arima {
 
 impl Arima {
     /// Fit an ARIMA with the given specification (cold start: OLS lag
-    /// regression initializes the CSS search).
+    /// regression initializes the CSS search). A seasonal period below 2
+    /// is an error.
     pub fn fit(series: &[f64], spec: ArimaSpec) -> Result<Self, FitError> {
         Self::fit_impl(series, spec, None, None)
     }
@@ -364,6 +365,11 @@ impl Arima {
         warm: Option<&[f64]>,
         deadline: Option<Instant>,
     ) -> Result<Self, FitError> {
+        // a period below 2 puts lag-0 (m = 0) or duplicate (m = 1) terms in
+        // the lag sets
+        if spec.seasonal.is_some_and(|s| s.m < 2) {
+            return Err(FitError::new("seasonal period must be at least 2"));
+        }
         let min_len = spec.k_params() + spec.d + spec.seasonal.map_or(0, |s| s.d * s.m + s.m) + 8;
         if series.len() < min_len {
             return Err(FitError::new(format!(
@@ -560,11 +566,6 @@ impl Arima {
             }
         }
         fore
-    }
-
-    /// In-sample one-step residual standard deviation.
-    pub fn resid_std(&self) -> f64 {
-        self.sigma2.sqrt()
     }
 
     /// Variance of the h-step-ahead forecast for `h = 1..=horizon`, via the
@@ -1340,6 +1341,16 @@ mod tests {
         // the walks did step back onto scored orders, so the memo was
         // exercised, not merely never consulted
         assert!(revisits > 0);
+    }
+
+    #[test]
+    fn seasonal_period_below_two_rejected() {
+        let x = ar1_series(0.5, 200, 3, 0.5);
+        for m in [0, 1] {
+            let spec = ArimaSpec::seasonal(1, 0, 1, 1, 0, 1, m);
+            assert!(Arima::fit(&x, spec).is_err(), "m = {m}");
+        }
+        assert!(Arima::fit(&x, ArimaSpec::seasonal(1, 0, 1, 1, 0, 1, 2)).is_ok());
     }
 
     #[test]

@@ -244,11 +244,6 @@ impl IncrementalAr {
         self.tail = x.get(tail_start..).unwrap_or_default().to_vec();
     }
 
-    /// One-step forecast-error (innovation) variance of the current fit.
-    pub fn innovation_variance(&self) -> f64 {
-        self.innovation_var
-    }
-
     /// Variance of the h-step-ahead forecast for `h = 1..=horizon` via the
     /// psi-weight (MA(∞)) representation: `ψ_0 = 1`,
     /// `ψ_j = Σ_i φ_i ψ_{j−i}`, and `var(h) = σ² Σ_{j<h} ψ_j²`.

@@ -24,11 +24,18 @@
 //!   count, and failure (if any) land in an [`ExecutionReport`] that the
 //!   orchestrator surfaces through `core::Progress` and `FitSummary`.
 //!
-//! Parallel rounds run on `autoai_linalg::parallel_try_map_mut`, a shared
-//! work queue: workers pull pipelines dynamically, so one slow BATS fit no
-//! longer serializes a whole contiguous chunk of cheap evaluations behind
-//! it. Serial and parallel modes execute the identical per-pipeline
-//! evaluation sequence, so rankings are order-independent and reproducible.
+//! Every phase of T-Daub — the small-data round, the fixed-allocation
+//! rounds, each acceleration step and each scoring finalist — runs through
+//! the one entry point [`Executor::run_round`]. A round takes the
+//! allocation slice and its fingerprint once, replays on the calling thread
+//! every candidate that already scored that fingerprint, and moves every
+//! other pipeline out as an owned work unit. One dispatch then runs the
+//! units serially, on `autoai_linalg::parallel_try_map_mut` (a shared work
+//! queue: one slow BATS fit no longer serializes a chunk of cheap
+//! evaluations behind it), or under the watchdog when a hard deadline is
+//! set. Outcomes come back in input order and are credited on the calling
+//! thread, so serial, parallel and supervised rounds record the identical
+//! per-pipeline sequence and rankings are reproducible.
 //!
 //! On top of the safety policy the executor carries the performance layer:
 //! a shared [`TransformCache`] is re-attached to every pipeline before each
@@ -36,16 +43,15 @@
 //! design matrices within a fixed-allocation round; under reverse
 //! allocations a candidate whose previous fit is a suffix of the next
 //! allocation is offered a [`Forecaster::fit_incremental`] warm start; and
-//! every successful fit+score unit is memoized per candidate, keyed by the
-//! allocation slice's [`FrameFingerprint`] — re-evaluating a bitwise
-//! identical allocation (the acceleration→scoring phase boundary, or a
-//! stalled acceleration step) replays the recorded score instead of
-//! refitting. All of it is instrumented (cache counters, warm-start count,
-//! fits avoided, duplicate fits, bytes the zero-copy allocation views
-//! avoided) in the [`ExecutionReport`].
+//! every fit is recorded per candidate, keyed by the allocation slice's
+//! [`FrameFingerprint`] — re-evaluating a bitwise identical allocation that
+//! scored finitely (the acceleration→scoring phase boundary, or a stalled
+//! acceleration step) replays the recorded score instead of refitting. All
+//! of it is instrumented (cache counters, warm-start count, fits avoided,
+//! duplicate fits, bytes the zero-copy allocation views avoided) in the
+//! [`ExecutionReport`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -115,8 +121,9 @@ pub struct ExecutionReport {
     /// the acceleration→scoring phase boundary).
     pub fits_avoided: u64,
     /// Executed fits whose allocation fingerprint the same candidate had
-    /// already fitted successfully — structurally zero while the memo is
-    /// active; asserted zero by the bench smoke mode.
+    /// already fitted — zero unless a candidate is re-offered an allocation
+    /// whose fit errored in scoring or scored non-finite (only finite
+    /// scores replay); asserted zero by the bench smoke mode.
     pub duplicate_fits: u64,
     /// Bytes of frame data the zero-copy allocation views avoided copying
     /// (each unit of work used to materialize its allocation slice).
@@ -181,16 +188,13 @@ pub(crate) struct Candidate {
     /// under reverse allocations the previous fit's slice is the trailing
     /// suffix of every later, larger allocation.
     pub last_fit_rows: usize,
-    /// Per-run fit+score memo: `(allocation fingerprint, score)` for every
-    /// unit that fit and scored finitely. Equal fingerprints mean the same
-    /// buffers and the same window — bitwise-identical input — so replaying
-    /// the deterministic score is exact and the memo stays on even in the
-    /// uncached comparison modes.
-    pub memo: Vec<(FrameFingerprint, f64)>,
-    /// Fingerprints of every allocation this candidate's pipeline
-    /// successfully fitted (superset of `memo`'s keys: includes fits whose
-    /// score came out non-finite). Used to count duplicate fits.
-    pub fitted_fps: Vec<FrameFingerprint>,
+    /// Per-run fit record: the fingerprint of every allocation this
+    /// candidate's pipeline fitted, with its score when it also scored
+    /// finitely. Equal fingerprints mean the same buffers and the same
+    /// window — bitwise-identical input — so replaying a `Some` score is
+    /// exact and stays on even in the uncached comparison modes. Refitting
+    /// any listed fingerprint counts as a duplicate fit.
+    pub fitted: Vec<(FrameFingerprint, Option<f64>)>,
 }
 
 impl Candidate {
@@ -206,19 +210,13 @@ impl Candidate {
             failure: None,
             last_error: None,
             last_fit_rows: 0,
-            memo: Vec::new(),
-            fitted_fps: Vec::new(),
+            fitted: Vec::new(),
         }
     }
 
     /// Still in the pool (not crashed / timed out / classified failed).
     pub fn alive(&self) -> bool {
         self.failure.is_none()
-    }
-
-    /// Has at least one finite observed score.
-    pub fn has_signal(&self) -> bool {
-        self.scores.iter().any(|(_, s)| s.is_finite())
     }
 
     /// Largest allocation with a finite score, if any.
@@ -269,7 +267,7 @@ impl Candidate {
     /// End-of-run classification: a candidate that is still nominally alive
     /// but never produced a finite score becomes a typed failure.
     pub fn finalize_failure(&mut self) {
-        if self.failure.is_none() && !self.has_signal() {
+        if self.failure.is_none() && self.best_finite_alloc().is_none() {
             self.failure = Some(match self.last_error.take() {
                 Some(kind) => kind,
                 None => FailureKind::Errored("produced no score on any allocation".into()),
@@ -293,13 +291,13 @@ pub(crate) fn execution_report(cands: &[Candidate], exec: &Executor<'_>) -> Exec
     ExecutionReport {
         pipelines: cands.iter().map(Candidate::execution_entry).collect(),
         cache: exec.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
-        incremental_fits: exec.incremental_fits.load(Ordering::Relaxed),
-        fits_avoided: exec.fits_avoided.load(Ordering::Relaxed),
-        duplicate_fits: exec.duplicate_fits.load(Ordering::Relaxed),
-        slice_bytes_avoided: exec.slice_bytes_avoided.load(Ordering::Relaxed),
+        incremental_fits: exec.incremental_fits,
+        fits_avoided: exec.fits_avoided,
+        duplicate_fits: exec.duplicate_fits,
+        slice_bytes_avoided: exec.slice_bytes_avoided,
         injected_faults: autoai_chaos::injected_count().saturating_sub(exec.chaos_start),
         run_deadline_hit: false,
-        retries: exec.retries.load(Ordering::Relaxed),
+        retries: exec.retries,
     }
 }
 
@@ -307,48 +305,22 @@ pub(crate) fn execution_report(cands: &[Candidate], exec: &Executor<'_>) -> Exec
 struct EvalUnit {
     /// Finite score on success, `+inf` otherwise.
     score: f64,
-    /// Wall time of the unit.
+    /// Wall time of the unit, retries included.
     elapsed: Duration,
     /// Failure signal, if the unit did not produce a finite score.
     error: Option<FailureKind>,
     /// Rows the pipeline is validly fitted on after this unit (`None` when
     /// the fit itself failed or panicked — state cannot be warm-started).
     fitted_rows: Option<usize>,
-    /// Fingerprint of the allocation slice the unit fit (`None` only for
-    /// the queue-level `WorkerPanic` fallback, which never reached a fit).
-    fp: Option<FrameFingerprint>,
-    /// The unit was replayed from the candidate's memo: no fit happened and
-    /// the pipeline's fitted state is unchanged.
-    from_memo: bool,
-    /// The fit succeeded via a `fit_incremental` warm start. Counted in
-    /// [`Executor::apply`] (not at evaluation time) so a quarantined
-    /// zombie's work never reaches the shared counters.
+    /// The fit succeeded via a `fit_incremental` warm start.
     warm: bool,
-    /// Bytes the zero-copy allocation view avoided copying for this unit;
-    /// credited in [`Executor::apply`] for the same reason.
+    /// Bytes the zero-copy allocation view avoided copying for this unit.
     slice_bytes: u64,
-    /// Transient-error retries consumed by this unit; credited in
-    /// [`Executor::apply`] for the same zombie-safety reason.
+    /// Transient-error retries consumed by this unit.
     retries: u8,
 }
 
 impl EvalUnit {
-    /// A unit served from the candidate's fingerprint memo: no fit ran and
-    /// the pipeline's fitted state is unchanged.
-    fn replayed(score: f64) -> Self {
-        EvalUnit {
-            score,
-            elapsed: Duration::ZERO,
-            error: None,
-            fitted_rows: None,
-            fp: None,
-            from_memo: true,
-            warm: false,
-            slice_bytes: 0,
-            retries: 0,
-        }
-    }
-
     /// A unit that never produced a fit at all: the queue-level panic net
     /// or a watchdog quarantine.
     fn failed(kind: FailureKind) -> Self {
@@ -357,8 +329,6 @@ impl EvalUnit {
             elapsed: Duration::ZERO,
             error: Some(kind),
             fitted_rows: None,
-            fp: None,
-            from_memo: false,
             warm: false,
             slice_bytes: 0,
             retries: 0,
@@ -366,40 +336,33 @@ impl EvalUnit {
     }
 }
 
-/// Everything one isolated fit+score unit needs besides the pipeline
-/// itself. All owned (the frames are zero-copy `Arc`-backed views, the rest
-/// is cheap), so a unit can be shipped to a supervised worker thread
-/// without borrowing the executor.
-struct UnitSpec {
+/// One candidate's fit+score unit, moved out of the round: the pipeline
+/// travels with it (a [`Tombstone`] holds the candidate's slot meanwhile)
+/// together with everything the evaluation needs. All owned (the frames are
+/// zero-copy `Arc`-backed views, the rest is cheap), so a unit can be
+/// shipped to a supervised worker thread without borrowing the executor;
+/// on a hard timeout it stays with the zombie worker forever.
+struct WorkUnit {
+    pipeline: Box<dyn Forecaster>,
     slice: TimeSeriesFrame,
     t2: TimeSeriesFrame,
     metric: Metric,
-    fp: FrameFingerprint,
     warm_eligible: bool,
     previous_rows: usize,
     remaining: Option<Duration>,
     cache: Option<Arc<TransformCache>>,
     retry_transient: u8,
-}
-
-/// A unit of work shipped through the supervised watchdog queue. The
-/// candidate's pipeline travels with the unit (a [`Tombstone`] holds its
-/// slot meanwhile) and comes back inside `SupervisedOutcome::Completed`; on
-/// a hard timeout it stays with the zombie worker forever.
-struct WorkUnit {
-    idx: usize,
-    /// Transform-cache work-unit epoch; retired on quarantine so the
-    /// zombie's late cache writes are detected and discarded.
+    /// Transform-cache work-unit epoch, stamped only under the watchdog
+    /// (0 = outside any unit); retired on quarantine so the zombie's late
+    /// cache writes are detected and discarded.
     epoch: u64,
-    pipeline: Box<dyn Forecaster>,
-    spec: UnitSpec,
 }
 
 /// Placeholder installed in a candidate's pipeline slot while the real
-/// pipeline is out with a supervised worker. It becomes permanent when the
-/// watchdog quarantines that worker: the real pipeline's state is then
-/// owned by a detached zombie thread and must never be touched again, so
-/// the tombstone answers every call with a typed error.
+/// pipeline is out with its work unit. It becomes permanent when the
+/// watchdog quarantines that unit: the real pipeline's state is then owned
+/// by a detached zombie thread and must never be touched again, so the
+/// tombstone answers every call with a typed error.
 struct Tombstone {
     name: String,
 }
@@ -438,100 +401,82 @@ fn chaos_unit_delay(pipeline: &str, alloc_len: usize) {
     }
 }
 
-/// Train a pipeline on its allocation slice and score it on `t2`, with
-/// panic isolation and a cooperative budget hint. `spec.previous_rows` is
-/// the candidate's last successful fit length (0 = none); when
-/// `spec.warm_eligible` the pipeline is offered a `fit_incremental` warm
-/// start. Free-standing (no executor borrow) so the supervised watchdog can
-/// run it on a detachable worker thread.
+/// Train a unit's pipeline on its allocation slice and score it on `t2`,
+/// with panic isolation and a cooperative budget hint. When
+/// `u.warm_eligible` the pipeline is offered a `fit_incremental` warm start
+/// from `u.previous_rows`. An attempt that ends in a **typed error** only is
+/// re-run up to `u.retry_transient` times; crashes and non-finite scores
+/// are final on the first attempt, and the unit carries the cumulative wall
+/// time, so budget accounting is unchanged. The retry decision depends only
+/// on the outcome, so every dispatch arm retries identically. Free-standing
+/// (no executor borrow) so the watchdog can run it on a detachable worker.
 ///
 /// `AssertUnwindSafe` is sound because a crashed pipeline is quarantined by
 /// the caller: its (possibly corrupt) state is never fitted or queried
 /// again.
-fn evaluate_unit(pipeline: &mut Box<dyn Forecaster>, spec: &UnitSpec) -> EvalUnit {
-    let alloc_len = spec.slice.len();
+fn evaluate_unit(u: &mut WorkUnit) -> EvalUnit {
+    let alloc_len = u.slice.len();
     // the O(1) view replaces what used to be a full row copy of the
     // allocation for every unit of work
     let slice_bytes = (alloc_len as u64)
-        .saturating_mul(spec.slice.n_series() as u64)
+        .saturating_mul(u.slice.n_series() as u64)
         .saturating_mul(8);
-    let cache = spec.cache.clone();
-    let start = Instant::now();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        chaos_unit_delay(&pipeline.name(), alloc_len);
-        pipeline.set_time_budget(spec.remaining);
-        pipeline.set_transform_cache(cache);
-        let mut warm = false;
-        let fitted = if spec.warm_eligible {
-            match pipeline.fit_incremental(&spec.slice, spec.previous_rows) {
-                Ok(true) => {
-                    warm = true;
-                    Ok(())
+    let pipeline = &mut u.pipeline;
+    let mut elapsed = Duration::ZERO;
+    let mut retries: u8 = 0;
+    loop {
+        let start = Instant::now();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            chaos_unit_delay(&pipeline.name(), alloc_len);
+            pipeline.set_time_budget(u.remaining);
+            pipeline.set_transform_cache(u.cache.clone());
+            let mut warm = false;
+            let fitted = if u.warm_eligible {
+                match pipeline.fit_incremental(&u.slice, u.previous_rows) {
+                    Ok(true) => {
+                        warm = true;
+                        Ok(())
+                    }
+                    Ok(false) => pipeline.fit(&u.slice),
+                    Err(e) => Err(e),
                 }
-                Ok(false) => pipeline.fit(&spec.slice),
-                Err(e) => Err(e),
-            }
-        } else {
-            pipeline.fit(&spec.slice)
-        };
-        match fitted {
-            Ok(()) => (true, warm, pipeline.score(&spec.t2, spec.metric)),
-            Err(e) => (false, warm, Err(e)),
-        }
-    }));
-    let elapsed = start.elapsed();
-    match caught {
-        Ok((fit_ok, warm, score)) => {
-            let fitted_rows = fit_ok.then_some(alloc_len);
-            let (score, error) = match score {
-                Ok(s) if s.is_finite() => (s, None),
-                Ok(_) => (f64::INFINITY, Some(FailureKind::NonFinite)),
-                Err(e) => (f64::INFINITY, Some(FailureKind::Errored(e.to_string()))),
+            } else {
+                pipeline.fit(&u.slice)
             };
-            EvalUnit {
-                score,
-                elapsed,
-                error,
-                fitted_rows,
-                fp: Some(spec.fp.clone()),
-                from_memo: false,
-                warm,
-                slice_bytes,
-                retries: 0,
+            match fitted {
+                Ok(()) => (true, warm, pipeline.score(&u.t2, u.metric)),
+                Err(e) => (false, warm, Err(e)),
             }
+        }));
+        elapsed += start.elapsed();
+        let (score, error, fitted_rows, warm) = match caught {
+            Ok((fit_ok, warm, score)) => {
+                let (score, error) = match score {
+                    Ok(s) if s.is_finite() => (s, None),
+                    Ok(_) => (f64::INFINITY, Some(FailureKind::NonFinite)),
+                    Err(e) => (f64::INFINITY, Some(FailureKind::Errored(e.to_string()))),
+                };
+                (score, error, fit_ok.then_some(alloc_len), warm)
+            }
+            Err(payload) => {
+                let kind = FailureKind::Crashed(payload_message(payload.as_ref()));
+                (f64::INFINITY, Some(kind), None, false)
+            }
+        };
+        if retries < u.retry_transient && matches!(error, Some(FailureKind::Errored(_))) {
+            retries = retries.saturating_add(1);
+            continue;
         }
-        Err(payload) => EvalUnit {
-            score: f64::INFINITY,
+        return EvalUnit {
+            score,
             elapsed,
-            error: Some(FailureKind::Crashed(payload_message(payload.as_ref()))),
-            fitted_rows: None,
-            fp: Some(spec.fp.clone()),
-            from_memo: false,
-            warm: false,
+            error,
+            fitted_rows,
+            warm,
             slice_bytes,
-            retries: 0,
-        },
+            retries,
+        };
     }
-}
-
-/// Run a unit and, if it ended in a **typed error** only, re-run it up to
-/// `spec.retry_transient` times within the same budget window. Crashes,
-/// hard timeouts (watchdog-level, never seen here), and non-finite scores
-/// are final on the first attempt; the retried unit carries the cumulative
-/// wall time so budget accounting is unchanged. Deterministic: the retry
-/// decision depends only on the unit outcome, so serial, parallel, and
-/// supervised execution retry identically.
-fn evaluate_unit_with_retry(pipeline: &mut Box<dyn Forecaster>, spec: &UnitSpec) -> EvalUnit {
-    let mut unit = evaluate_unit(pipeline, spec);
-    let mut used: u8 = 0;
-    while used < spec.retry_transient && matches!(unit.error, Some(FailureKind::Errored(_))) {
-        used = used.saturating_add(1);
-        let prior_elapsed = unit.elapsed;
-        unit = evaluate_unit(pipeline, spec);
-        unit.elapsed += prior_elapsed;
-        unit.retries = used;
-    }
-    unit
 }
 
 /// Render a caught panic payload as text (mirrors `WorkerPanic`).
@@ -543,6 +488,12 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
+}
+
+/// The queue-level panic net, a second one behind the unit's own
+/// `catch_unwind`: a panic that reached the work queue becomes a crash.
+fn unit_or_crash(result: Result<EvalUnit, WorkerPanic>) -> EvalUnit {
+    result.unwrap_or_else(|p| EvalUnit::failed(FailureKind::Crashed(p.message)))
 }
 
 /// The execution engine: shared evaluation context plus the isolation and
@@ -562,7 +513,7 @@ pub(crate) struct Executor<'a> {
     /// allocation extends a candidate's previous successful fit.
     pub incremental: bool,
     /// Per-unit **hard** wall-clock deadline enforced by the supervised
-    /// watchdog; `None` runs the cooperative-only paths (no watchdog).
+    /// watchdog; `None` runs the cooperative-only arms (no watchdog).
     pub hard_deadline: Option<Duration>,
     /// Re-run a unit that ended in a typed error up to this many times
     /// (transient-failure tolerance; crashes and hard timeouts are final).
@@ -572,23 +523,19 @@ pub(crate) struct Executor<'a> {
     pub chaos_start: u64,
     /// Bytes the O(1) allocation views avoided copying (one slice
     /// materialization per unit of work before zero-copy frames).
-    pub slice_bytes_avoided: AtomicU64,
+    pub slice_bytes_avoided: u64,
     /// Successful warm starts across the run.
-    pub incremental_fits: AtomicU64,
-    /// Units replayed from a candidate's fingerprint memo (no fit executed).
-    pub fits_avoided: AtomicU64,
+    pub incremental_fits: u64,
+    /// Units replayed from a candidate's fit record (no fit executed).
+    pub fits_avoided: u64,
     /// Executed fits on an allocation the candidate had already fitted.
-    pub duplicate_fits: AtomicU64,
+    pub duplicate_fits: u64,
     /// Transient-error retries consumed across the run.
-    pub retries: AtomicU64,
+    pub retries: u64,
 }
 
 impl Executor<'_> {
-    fn remaining(&self, spent: Duration) -> Option<Duration> {
-        self.budget.map(|b| b.saturating_sub(spent))
-    }
-
-    /// The allocation slice of `t1` for one unit of work (a zero-copy view).
+    /// The allocation slice of `t1` for one round (a zero-copy view).
     fn allocation_slice(&self, alloc_len: usize) -> TimeSeriesFrame {
         let l = self.t1.len();
         let alloc_len = alloc_len.min(l);
@@ -602,74 +549,154 @@ impl Executor<'_> {
         }
     }
 
-    /// Serve one unit of work for a candidate: replay it from the
-    /// fingerprint memo when this allocation was already fit and scored
-    /// (bitwise-identical input ⇒ identical deterministic outcome), or
-    /// evaluate it for real. Identical in serial and parallel modes.
-    fn evaluate_or_replay(&self, c: &mut Candidate, alloc_len: usize) -> EvalUnit {
+    /// Evaluate every live candidate on one allocation. Every T-Daub phase
+    /// runs through here: a round of the whole pool, or one candidate via
+    /// `std::slice::from_mut`. A candidate that already scored this exact
+    /// allocation finitely replays the score on the calling thread
+    /// (bitwise-identical input ⇒ identical deterministic outcome); every
+    /// other live candidate's pipeline goes out as one [`WorkUnit`], and
+    /// the outcomes are credited in input order, identically in every
+    /// dispatch arm.
+    pub fn run_round(&mut self, cands: &mut [Candidate], alloc_len: usize) {
         let slice = self.allocation_slice(alloc_len);
         let fp = slice.fingerprint();
-        if let Some(&(_, score)) = c.memo.iter().find(|(m, _)| *m == fp) {
-            self.fits_avoided.fetch_add(1, Ordering::Relaxed);
-            return EvalUnit::replayed(score);
+        let mut slots: Vec<usize> = Vec::new();
+        let mut units: Vec<WorkUnit> = Vec::new();
+        for (idx, c) in cands.iter_mut().enumerate().filter(|(_, c)| c.alive()) {
+            let replay = c.fitted.iter().find(|(f, _)| *f == fp).and_then(|e| e.1);
+            if let Some(score) = replay {
+                // a replay leaves the pipeline's fitted state untouched —
+                // no error, no time, nothing to record
+                self.fits_avoided += 1;
+                c.scores.push((alloc_len, score));
+                c.allocations += 1;
+                continue;
+            }
+            // warm starts are only sound in reverse mode: forward
+            // allocations grow at the *end*, so the previous fit is a
+            // prefix, not a suffix
+            let warm_eligible = self.incremental
+                && self.reverse
+                && c.last_fit_rows > 0
+                && c.last_fit_rows <= slice.len();
+            let tombstone = Box::new(Tombstone {
+                name: c.name.clone(),
+            });
+            units.push(WorkUnit {
+                pipeline: std::mem::replace(&mut c.pipeline, tombstone),
+                slice: slice.clone(),
+                t2: self.t2.clone(),
+                metric: self.metric,
+                warm_eligible,
+                previous_rows: c.last_fit_rows,
+                remaining: self.budget.map(|b| b.saturating_sub(c.train_time)),
+                cache: self.cache.clone(),
+                retry_transient: self.retry_transient,
+                epoch: 0,
+            });
+            slots.push(idx);
         }
-        let spec = self.unit_spec(slice, fp, c);
-        evaluate_unit_with_retry(&mut c.pipeline, &spec)
+        for (idx, (pipeline, unit)) in slots.into_iter().zip(self.dispatch(units)) {
+            let Some(c) = cands.get_mut(idx) else {
+                continue;
+            };
+            if let Some(pipeline) = pipeline {
+                c.pipeline = pipeline;
+            }
+            self.apply(c, alloc_len, &fp, unit);
+        }
     }
 
-    /// Everything one unit of work for this candidate needs besides the
-    /// pipeline itself (owned, so it can cross into a supervised worker).
-    fn unit_spec(&self, slice: TimeSeriesFrame, fp: FrameFingerprint, c: &Candidate) -> UnitSpec {
-        // warm starts are only sound in reverse mode: forward allocations
-        // grow at the *end*, so the previous fit is a prefix, not a suffix
-        let warm_eligible = self.incremental
-            && self.reverse
-            && c.last_fit_rows > 0
-            && c.last_fit_rows <= slice.len();
-        UnitSpec {
-            t2: self.t2.clone(),
-            metric: self.metric,
-            warm_eligible,
-            previous_rows: c.last_fit_rows,
-            remaining: self.remaining(c.train_time),
-            cache: self.cache.clone(),
-            slice,
-            fp,
-            retry_transient: self.retry_transient,
+    /// Run the units and return each one's pipeline (`None` once the
+    /// watchdog has quarantined it) and outcome, in input order. Serial
+    /// mode runs them in a loop, parallel mode through the shared work
+    /// queue; with a hard deadline both run under [`supervised_try_map`]
+    /// (serial = one supervised worker), whose monitor abandons a unit past
+    /// the deadline — its worker thread is detached, never joined, the
+    /// pipeline stays with it, and its cache epoch is retired so late cache
+    /// writes from the zombie are detected and discarded.
+    fn dispatch(&self, mut units: Vec<WorkUnit>) -> Vec<(Option<Box<dyn Forecaster>>, EvalUnit)> {
+        let Some(hard) = self.hard_deadline else {
+            let results: Vec<Result<EvalUnit, WorkerPanic>> = if self.parallel {
+                parallel_try_map_mut(&mut units, evaluate_unit)
+            } else {
+                units.iter_mut().map(|u| Ok(evaluate_unit(u))).collect()
+            };
+            return units
+                .into_iter()
+                .zip(results)
+                .map(|(u, result)| (Some(u.pipeline), unit_or_crash(result)))
+                .collect();
+        };
+        if let Some(cache) = self.cache.as_ref() {
+            for u in units.iter_mut() {
+                u.epoch = cache.begin_unit();
+            }
         }
+        let epochs: Vec<u64> = units.iter().map(|u| u.epoch).collect();
+        let workers = if self.parallel {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            1
+        };
+        let outcomes = supervised_try_map(units, hard, workers, |u: &mut WorkUnit| {
+            // announce the unit's epoch so cache writes from this thread
+            // can be discarded if the watchdog retires the unit mid-flight
+            if let Some(cache) = u.cache.as_ref() {
+                cache.enter_unit(u.epoch);
+            }
+            let unit = evaluate_unit(u);
+            if let Some(cache) = u.cache.as_ref() {
+                cache.exit_unit();
+            }
+            unit
+        });
+        outcomes
+            .into_iter()
+            .zip(epochs)
+            .map(|(outcome, epoch)| match outcome {
+                SupervisedOutcome::Completed { item, result } => {
+                    (Some(item.pipeline), unit_or_crash(result))
+                }
+                SupervisedOutcome::HardTimeout => {
+                    if let Some(cache) = self.cache.as_ref() {
+                        cache.retire_unit(epoch);
+                    }
+                    // charge the full hard deadline: that is the wall time
+                    // the run verifiably spent waiting on this unit
+                    let mut unit = EvalUnit::failed(FailureKind::HardTimeout);
+                    unit.elapsed = hard;
+                    (None, unit)
+                }
+            })
+            .collect()
     }
 
-    /// Record one unit outcome on a candidate and apply the isolation and
-    /// budget policy. Identical in serial and parallel modes.
-    fn apply(&self, c: &mut Candidate, alloc_len: usize, unit: EvalUnit) {
-        // shared counters are credited here, on the monitor side, so a
-        // quarantined zombie's half-finished unit can never touch them
-        self.slice_bytes_avoided
-            .fetch_add(unit.slice_bytes, Ordering::Relaxed);
-        if unit.warm {
-            self.incremental_fits.fetch_add(1, Ordering::Relaxed);
-        }
-        if unit.retries > 0 {
-            self.retries
-                .fetch_add(unit.retries as u64, Ordering::Relaxed);
-        }
+    /// Record one evaluated unit on a candidate and apply the isolation and
+    /// budget policy. Runs on the calling thread for every dispatch arm, so
+    /// a quarantined zombie's half-finished unit never reaches a counter.
+    fn apply(
+        &mut self,
+        c: &mut Candidate,
+        alloc_len: usize,
+        fp: &FrameFingerprint,
+        unit: EvalUnit,
+    ) {
+        self.slice_bytes_avoided += unit.slice_bytes;
+        self.incremental_fits += u64::from(unit.warm);
+        self.retries += u64::from(unit.retries);
         c.scores.push((alloc_len, unit.score));
         c.train_time += unit.elapsed;
         c.allocations += 1;
-        if unit.from_memo {
-            // a replay leaves the pipeline's fitted state untouched — no
-            // error, no time, nothing to memoize
-            return;
-        }
         c.last_fit_rows = unit.fitted_rows.unwrap_or(0);
-        if let (Some(fp), Some(_)) = (unit.fp.as_ref(), unit.fitted_rows) {
-            if c.fitted_fps.contains(fp) {
-                self.duplicate_fits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                c.fitted_fps.push(fp.clone());
-            }
-            if unit.error.is_none() {
-                c.memo.push((fp.clone(), unit.score));
+        if unit.fitted_rows.is_some() {
+            let score = unit.error.is_none().then_some(unit.score);
+            match c.fitted.iter_mut().find(|(f, _)| f == fp) {
+                Some(entry) => {
+                    self.duplicate_fits += 1;
+                    entry.1 = entry.1.or(score);
+                }
+                None => c.fitted.push((fp.clone(), score)),
             }
         }
         match unit.error {
@@ -690,134 +717,6 @@ impl Executor<'_> {
         if let Some(budget) = self.budget {
             if c.train_time > budget {
                 c.failure = Some(FailureKind::TimedOut);
-            }
-        }
-    }
-
-    /// Evaluate one live candidate on one allocation (memo-aware).
-    pub fn run_single(&self, c: &mut Candidate, alloc_len: usize) {
-        if !c.alive() {
-            return;
-        }
-        if let Some(hard) = self.hard_deadline {
-            self.run_round_supervised(std::slice::from_mut(c), alloc_len, hard);
-            return;
-        }
-        let unit = self.evaluate_or_replay(c, alloc_len);
-        self.apply(c, alloc_len, unit);
-    }
-
-    /// Evaluate every live candidate on the same allocation — one T-Daub
-    /// fixed-allocation round. In parallel mode the candidates go through
-    /// the shared work queue; the recorded outcome sequence is identical to
-    /// serial mode. With a hard deadline set, both modes run under the
-    /// supervised watchdog instead (serial = one supervised worker).
-    pub fn run_round(&self, cands: &mut [Candidate], alloc_len: usize) {
-        if let Some(hard) = self.hard_deadline {
-            self.run_round_supervised(cands, alloc_len, hard);
-            return;
-        }
-        if !self.parallel {
-            for c in cands.iter_mut().filter(|c| c.alive()) {
-                self.run_single(c, alloc_len);
-            }
-            return;
-        }
-        let mut live: Vec<&mut Candidate> = cands.iter_mut().filter(|c| c.alive()).collect();
-        let outcomes: Vec<Result<EvalUnit, WorkerPanic>> =
-            parallel_try_map_mut(&mut live, |c| self.evaluate_or_replay(c, alloc_len));
-        for (c, outcome) in live.iter_mut().zip(outcomes) {
-            // the inner catch_unwind already absorbs pipeline panics; the
-            // queue-level WorkerPanic arm is a second net (e.g. a panicking
-            // set_time_budget ripping through a poisoned invariant)
-            let unit = match outcome {
-                Ok(unit) => unit,
-                Err(p) => EvalUnit::failed(FailureKind::Crashed(p.message)),
-            };
-            self.apply(c, alloc_len, unit);
-        }
-    }
-
-    /// One round under the hard-deadline watchdog. Every live candidate's
-    /// unit of work is shipped through [`supervised_try_map`], whose
-    /// monitor enforces `hard` per unit: a unit that blows the deadline
-    /// loses its worker thread (detached, never joined) *and* its pipeline
-    /// (the candidate keeps a [`Tombstone`] and is quarantined as
-    /// [`FailureKind::HardTimeout`]), and its transform-cache epoch is
-    /// retired so any late cache writes from the zombie are detected and
-    /// discarded. Memo replays and the recorded outcome sequence are
-    /// identical to the unsupervised paths, so the watchdog never changes a
-    /// surviving pipeline's ranking.
-    fn run_round_supervised(&self, cands: &mut [Candidate], alloc_len: usize, hard: Duration) {
-        let mut units: Vec<WorkUnit> = Vec::new();
-        for (idx, c) in cands.iter_mut().enumerate() {
-            if !c.alive() {
-                continue;
-            }
-            let slice = self.allocation_slice(alloc_len);
-            let fp = slice.fingerprint();
-            if let Some(&(_, score)) = c.memo.iter().find(|(m, _)| *m == fp) {
-                // replays never leave the monitor thread — no watchdog risk
-                self.fits_avoided.fetch_add(1, Ordering::Relaxed);
-                self.apply(c, alloc_len, EvalUnit::replayed(score));
-                continue;
-            }
-            let spec = self.unit_spec(slice, fp, c);
-            let epoch = self.cache.as_ref().map_or(0, |cache| cache.begin_unit());
-            let name = c.name.clone();
-            units.push(WorkUnit {
-                idx,
-                epoch,
-                pipeline: std::mem::replace(&mut c.pipeline, Box::new(Tombstone { name })),
-                spec,
-            });
-        }
-        if units.is_empty() {
-            return;
-        }
-        let workers = if self.parallel {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            1
-        };
-        let keys: Vec<(usize, u64)> = units.iter().map(|u| (u.idx, u.epoch)).collect();
-        let outcomes = supervised_try_map(units, hard, workers, |u: &mut WorkUnit| {
-            // announce the unit's epoch so cache writes from this thread
-            // can be discarded if the watchdog retires the unit mid-flight
-            if let Some(cache) = u.spec.cache.as_ref() {
-                cache.enter_unit(u.epoch);
-            }
-            let unit = evaluate_unit_with_retry(&mut u.pipeline, &u.spec);
-            if let Some(cache) = u.spec.cache.as_ref() {
-                cache.exit_unit();
-            }
-            unit
-        });
-        for (outcome, (idx, epoch)) in outcomes.into_iter().zip(keys) {
-            let Some(c) = cands.get_mut(idx) else {
-                continue;
-            };
-            match outcome {
-                SupervisedOutcome::Completed { item, result } => {
-                    c.pipeline = item.pipeline;
-                    let unit = match result {
-                        Ok(unit) => unit,
-                        // second net: a panic that escaped the unit's own
-                        // catch_unwind
-                        Err(p) => EvalUnit::failed(FailureKind::Crashed(p.message)),
-                    };
-                    self.apply(c, alloc_len, unit);
-                }
-                SupervisedOutcome::HardTimeout => {
-                    if let Some(cache) = self.cache.as_ref() {
-                        cache.retire_unit(epoch);
-                    }
-                    // charge the full hard deadline: that is the wall time
-                    // the run verifiably spent waiting on this unit
-                    let mut unit = EvalUnit::failed(FailureKind::HardTimeout);
-                    unit.elapsed = hard;
-                    self.apply(c, alloc_len, unit);
-                }
             }
         }
     }
@@ -843,6 +742,7 @@ impl Executor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct Always(f64);
     impl Forecaster for Always {
@@ -928,20 +828,20 @@ mod tests {
             hard_deadline: None,
             chaos_start: 0,
             retry_transient: 1,
-            slice_bytes_avoided: AtomicU64::new(0),
-            incremental_fits: AtomicU64::new(0),
-            fits_avoided: AtomicU64::new(0),
-            duplicate_fits: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
+            slice_bytes_avoided: 0,
+            incremental_fits: 0,
+            fits_avoided: 0,
+            duplicate_fits: 0,
+            retries: 0,
         }
     }
 
     #[test]
     fn crash_is_captured_as_typed_failure() {
         let (t1, t2) = frames();
-        let exec = executor(&t1, &t2, false, None);
+        let mut exec = executor(&t1, &t2, false, None);
         let mut c = Candidate::new(Box::new(Panicky));
-        exec.run_single(&mut c, 40);
+        exec.run_round(std::slice::from_mut(&mut c), 40);
         assert!(!c.alive());
         match &c.failure {
             Some(FailureKind::Crashed(m)) => assert!(m.contains("executor test crash")),
@@ -953,14 +853,14 @@ mod tests {
     #[test]
     fn budget_marks_timeout_between_allocations() {
         let (t1, t2) = frames();
-        let exec = executor(&t1, &t2, false, Some(Duration::ZERO));
+        let mut exec = executor(&t1, &t2, false, Some(Duration::ZERO));
         let mut c = Candidate::new(Box::new(Always(1.0)));
-        exec.run_single(&mut c, 40);
+        exec.run_round(std::slice::from_mut(&mut c), 40);
         // the unit itself completes (soft budget), then the deadline fires
         assert_eq!(c.scores.len(), 1);
         assert_eq!(c.failure, Some(FailureKind::TimedOut));
         // a dead candidate receives no further allocations
-        exec.run_single(&mut c, 80);
+        exec.run_round(std::slice::from_mut(&mut c), 80);
         assert_eq!(c.scores.len(), 1);
     }
 
@@ -992,41 +892,41 @@ mod tests {
     #[test]
     fn transient_error_is_retried_and_counted() {
         let (t1, t2) = frames();
-        let exec = executor(&t1, &t2, false, None);
+        let mut exec = executor(&t1, &t2, false, None);
         let mut c = Candidate::new(Box::new(FlakyOnce {
             failures_left: 1,
             value: 85.0,
         }));
-        exec.run_single(&mut c, 40);
+        exec.run_round(std::slice::from_mut(&mut c), 40);
         // one retry absorbed the transient error: the unit scored normally
         assert!(c.alive());
         assert_eq!(c.last_error, None);
         assert!(c.scores.last().is_some_and(|&(_, s)| s.is_finite()));
-        assert_eq!(exec.retries.load(Ordering::Relaxed), 1);
+        assert_eq!(exec.retries, 1);
     }
 
     #[test]
     fn exhausted_retries_leave_the_typed_error() {
         let (t1, t2) = frames();
-        let exec = executor(&t1, &t2, false, None);
+        let mut exec = executor(&t1, &t2, false, None);
         let mut c = Candidate::new(Box::new(FlakyOnce {
             failures_left: 5,
             value: 85.0,
         }));
-        exec.run_single(&mut c, 40);
+        exec.run_round(std::slice::from_mut(&mut c), 40);
         // one retry was spent, the error stood — and only Errored retries
         assert!(matches!(c.last_error, Some(FailureKind::Errored(_))));
-        assert_eq!(exec.retries.load(Ordering::Relaxed), 1);
+        assert_eq!(exec.retries, 1);
     }
 
     #[test]
     fn crashes_are_never_retried() {
         let (t1, t2) = frames();
-        let exec = executor(&t1, &t2, false, None);
+        let mut exec = executor(&t1, &t2, false, None);
         let mut c = Candidate::new(Box::new(Panicky));
-        exec.run_single(&mut c, 40);
+        exec.run_round(std::slice::from_mut(&mut c), 40);
         assert!(matches!(c.failure, Some(FailureKind::Crashed(_))));
-        assert_eq!(exec.retries.load(Ordering::Relaxed), 0);
+        assert_eq!(exec.retries, 0);
         assert_eq!(c.allocations, 1);
     }
 
@@ -1043,8 +943,8 @@ mod tests {
                 Candidate::new(Box::new(Always(83.0))),
             ]
         };
-        let serial_exec = executor(&t1, &t2, false, None);
-        let parallel_exec = executor(&t1, &t2, true, None);
+        let mut serial_exec = executor(&t1, &t2, false, None);
+        let mut parallel_exec = executor(&t1, &t2, true, None);
         let mut serial = build();
         let mut parallel = build();
         for alloc in [20, 40, 80] {
@@ -1055,11 +955,8 @@ mod tests {
             assert_eq!(s.scores, p.scores, "{}", s.name);
             assert_eq!(s.last_error, p.last_error, "{}", s.name);
         }
-        assert_eq!(
-            serial_exec.retries.load(Ordering::Relaxed),
-            parallel_exec.retries.load(Ordering::Relaxed)
-        );
-        assert_eq!(serial_exec.retries.load(Ordering::Relaxed), 1);
+        assert_eq!(serial_exec.retries, parallel_exec.retries);
+        assert_eq!(serial_exec.retries, 1);
     }
 
     /// Scores like `Always` but counts how many times `fit` actually ran,
@@ -1090,7 +987,7 @@ mod tests {
     #[test]
     fn full_length_fit_is_replayed_not_repeated_across_the_phase_boundary() {
         let (t1, t2) = frames();
-        let exec = executor(&t1, &t2, false, None);
+        let mut exec = executor(&t1, &t2, false, None);
         let fits = Arc::new(AtomicU64::new(0));
         let mut c = Candidate::new(Box::new(CountingFits {
             value: 85.0,
@@ -1098,9 +995,9 @@ mod tests {
         }));
         let full = t1.len();
         // acceleration confirms the leader at full length…
-        exec.run_single(&mut c, full);
+        exec.run_round(std::slice::from_mut(&mut c), full);
         // …and the scoring phase re-requests the identical allocation
-        exec.run_single(&mut c, full);
+        exec.run_round(std::slice::from_mut(&mut c), full);
         assert_eq!(
             fits.load(Ordering::Relaxed),
             1,
@@ -1112,24 +1009,24 @@ mod tests {
             c.scores.last().map(|&(_, s)| s.to_bits()),
             "a replay must be bit-identical to the recorded score"
         );
-        assert_eq!(exec.fits_avoided.load(Ordering::Relaxed), 1);
-        assert_eq!(exec.duplicate_fits.load(Ordering::Relaxed), 0);
+        assert_eq!(exec.fits_avoided, 1);
+        assert_eq!(exec.duplicate_fits, 0);
     }
 
     #[test]
     fn memo_distinguishes_different_allocations() {
         let (t1, t2) = frames();
-        let exec = executor(&t1, &t2, false, None);
+        let mut exec = executor(&t1, &t2, false, None);
         let fits = Arc::new(AtomicU64::new(0));
         let mut c = Candidate::new(Box::new(CountingFits {
             value: 85.0,
             fits: Arc::clone(&fits),
         }));
-        exec.run_single(&mut c, 40);
-        exec.run_single(&mut c, 60);
-        exec.run_single(&mut c, 40); // only this one is a replay
+        exec.run_round(std::slice::from_mut(&mut c), 40);
+        exec.run_round(std::slice::from_mut(&mut c), 60);
+        exec.run_round(std::slice::from_mut(&mut c), 40); // only this one is a replay
         assert_eq!(fits.load(Ordering::Relaxed), 2);
-        assert_eq!(exec.fits_avoided.load(Ordering::Relaxed), 1);
+        assert_eq!(exec.fits_avoided, 1);
         assert_eq!(c.scores.len(), 3);
     }
 
@@ -1207,12 +1104,133 @@ mod tests {
         }
     }
 
+    /// Accepts every warm start and scores like `Always`.
+    struct Warm(f64);
+    impl Forecaster for Warm {
+        fn fit(&mut self, _: &TimeSeriesFrame) -> Result<(), PipelineError> {
+            Ok(())
+        }
+        fn fit_incremental(
+            &mut self,
+            _: &TimeSeriesFrame,
+            _: usize,
+        ) -> Result<bool, PipelineError> {
+            Ok(true)
+        }
+        fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
+            Ok(TimeSeriesFrame::univariate(vec![self.0; horizon]))
+        }
+        fn name(&self) -> String {
+            "Warm".into()
+        }
+        fn clone_unfitted(&self) -> Box<dyn Forecaster> {
+            Box::new(Warm(self.0))
+        }
+    }
+
+    /// Forecasts NaN after its first fit of each allocation length and
+    /// `value` after any refit of one.
+    struct NanFirst {
+        seen: Vec<usize>,
+        nan: bool,
+        value: f64,
+    }
+    impl Forecaster for NanFirst {
+        fn fit(&mut self, frame: &TimeSeriesFrame) -> Result<(), PipelineError> {
+            self.nan = !self.seen.contains(&frame.len());
+            if self.nan {
+                self.seen.push(frame.len());
+            }
+            Ok(())
+        }
+        fn predict(&self, horizon: usize) -> Result<TimeSeriesFrame, PipelineError> {
+            let v = if self.nan { f64::NAN } else { self.value };
+            Ok(TimeSeriesFrame::univariate(vec![v; horizon]))
+        }
+        fn name(&self) -> String {
+            "NanFirst".into()
+        }
+        fn clone_unfitted(&self) -> Box<dyn Forecaster> {
+            Box::new(NanFirst {
+                seen: Vec::new(),
+                nan: false,
+                value: self.value,
+            })
+        }
+    }
+
+    #[test]
+    fn every_dispatch_arm_records_the_same_outcomes_and_counters() {
+        let (t1, t2) = frames();
+        let build = || {
+            vec![
+                Candidate::new(Box::new(Warm(85.0))),
+                Candidate::new(Box::new(FlakyOnce {
+                    failures_left: 1,
+                    value: 84.0,
+                })),
+                Candidate::new(Box::new(Panicky)),
+                Candidate::new(Box::new(NanFirst {
+                    seen: Vec::new(),
+                    nan: false,
+                    value: 83.0,
+                })),
+            ]
+        };
+        // serial, work queue, watchdog with 1 worker, watchdog with N
+        let arms = [
+            (false, None),
+            (true, None),
+            (false, Some(30)),
+            (true, Some(30)),
+        ];
+        let runs: Vec<_> = arms
+            .iter()
+            .map(|&(parallel, hard)| {
+                let mut exec = executor(&t1, &t2, parallel, None);
+                exec.hard_deadline = hard.map(Duration::from_secs);
+                exec.incremental = true;
+                exec.cache = Some(Arc::new(TransformCache::new()));
+                let mut cands = build();
+                // 40 is re-requested: Warm and FlakyOnce replay it, while
+                // NanFirst refits it (a duplicate fit) and now scores
+                for alloc in [20, 40, 40, 80] {
+                    exec.run_round(&mut cands, alloc);
+                }
+                let outcomes: Vec<_> = cands
+                    .iter()
+                    .map(|c| {
+                        let bits: Vec<(usize, u64)> =
+                            c.scores.iter().map(|&(a, s)| (a, s.to_bits())).collect();
+                        (bits, c.failure.clone(), c.last_error.clone())
+                    })
+                    .collect();
+                let counters = (
+                    exec.fits_avoided,
+                    exec.duplicate_fits,
+                    exec.retries,
+                    exec.incremental_fits,
+                );
+                (outcomes, counters)
+            })
+            .collect();
+        let (outcomes, counters) = &runs[0];
+        assert_eq!(*counters, (2, 1, 1, 2));
+        let nan_first = &outcomes[3].0;
+        assert!(f64::from_bits(nan_first[1].1).is_infinite());
+        assert!(f64::from_bits(nan_first[2].1).is_finite());
+        assert!(matches!(outcomes[2].1, Some(FailureKind::Crashed(_))));
+        for (arm, run) in arms.iter().zip(&runs).skip(1) {
+            assert_eq!(run, &runs[0], "arm {arm:?} diverged from serial");
+        }
+    }
+
     #[test]
     fn non_finite_scores_classify_as_nonfinite() {
         let (t1, t2) = frames();
-        let exec = executor(&t1, &t2, false, None);
+        let mut exec = executor(&t1, &t2, false, None);
         let mut c = Candidate::new(Box::new(Always(f64::NAN)));
-        exec.run_single(&mut c, 40);
+        exec.run_round(std::slice::from_mut(&mut c), 40);
         assert!(c.alive()); // not yet classified — might recover
         c.finalize_failure();
         assert_eq!(c.failure, Some(FailureKind::NonFinite));

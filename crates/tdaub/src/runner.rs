@@ -1,7 +1,6 @@
 //! The T-Daub algorithm (Algorithm 1 of the paper), driven by the
 //! fault-isolated, budgeted [`executor`](crate::executor).
 
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -260,7 +259,7 @@ pub fn run_tdaub_with_cache(
     let expired = || run_deadline.is_some_and(|d| Instant::now() >= d);
     let mut run_deadline_hit = false;
 
-    let exec = Executor {
+    let mut exec = Executor {
         t1: &t1,
         t2: &t2,
         metric: config.metric,
@@ -277,11 +276,11 @@ pub fn run_tdaub_with_cache(
         retry_transient: config.retry_transient,
         hard_deadline,
         chaos_start: autoai_chaos::injected_count(),
-        slice_bytes_avoided: AtomicU64::new(0),
-        incremental_fits: AtomicU64::new(0),
-        fits_avoided: AtomicU64::new(0),
-        duplicate_fits: AtomicU64::new(0),
-        retries: AtomicU64::new(0),
+        slice_bytes_avoided: 0,
+        incremental_fits: 0,
+        fits_avoided: 0,
+        duplicate_fits: 0,
+        retries: 0,
     };
 
     if small_data {
@@ -358,7 +357,7 @@ pub fn run_tdaub_with_cache(
                 .saturating_mul(config.allocation_size)
                 .max(top_last.saturating_add(config.allocation_size));
             let alloc = next.min(l);
-            exec.run_single(c, alloc);
+            exec.run_round(std::slice::from_mut(c), alloc);
             if !c.alive() {
                 continue;
             }
@@ -387,11 +386,10 @@ pub fn run_tdaub_with_cache(
                 break;
             }
             let Some(c) = cands.get_mut(i) else { continue };
-            // A finalist that already fit the full length during
-            // acceleration is served from the executor's fingerprint memo:
-            // `run_single` replays the recorded score instead of refitting
+            // A finalist that already scored the full length during
+            // acceleration replays the recorded score instead of refitting
             // identical data across the phase boundary.
-            exec.run_single(c, l);
+            exec.run_round(std::slice::from_mut(c), l);
             c.final_score = c
                 .alive()
                 .then(|| c.scores.last().map_or(f64::INFINITY, |&(_, s)| s));

@@ -26,5 +26,5 @@ pub use metrics::{
 };
 pub use quality::{clean, quality_check, QualityIssue, QualityReport};
 pub use ranking::{average_ranks, rank_histogram, rank_rows, RankSummary};
-pub use split::{holdout_split, reverse_allocation, train_test_split};
+pub use split::holdout_split;
 pub use timestamps::{infer_frequency, regular_step, Frequency};

@@ -1,23 +1,7 @@
-//! Temporal splits, including T-Daub's reverse allocation.
-//!
-//! Time series data cannot be shuffled; all splits here are contiguous and
-//! ordered. `reverse_allocation` produces the "latest data first" training
-//! windows of Figure 3: every allocation ends at the end of the training set
-//! and grows backwards, so each split always contains the most recent data.
+//! Temporal holdout split: time series data cannot be shuffled, so the
+//! holdout is the contiguous tail of the frame.
 
 use crate::frame::TimeSeriesFrame;
-
-/// Split a frame into `(train, test)` where train holds `train_fraction`
-/// of the rows (at least 1 row each when possible).
-pub fn train_test_split(
-    frame: &TimeSeriesFrame,
-    train_fraction: f64,
-) -> (TimeSeriesFrame, TimeSeriesFrame) {
-    let n = frame.len();
-    let cut = ((n as f64) * train_fraction.clamp(0.0, 1.0)).round() as usize;
-    let cut = cut.clamp(usize::from(n > 1), n.saturating_sub(usize::from(n > 1)));
-    (frame.slice(0, cut), frame.slice(cut, n))
-}
 
 /// Split off the last `horizon` rows as a holdout: `(train, holdout)`.
 pub fn holdout_split(
@@ -29,59 +13,12 @@ pub fn holdout_split(
     (frame.slice(0, cut), frame.slice(cut, n))
 }
 
-/// Row ranges `[start, end)` of T-Daub reverse allocations over a training
-/// set of length `len`.
-///
-/// Allocation `i` (1-based) covers the **last** `min(i * allocation_size,
-/// len)` rows, i.e. `[len - i*alloc, len)` — "each allocation is created
-/// starting from the end of the training set and always contains the most
-/// recent data" (§4.2). Generation stops once an allocation covers the whole
-/// training set.
-pub fn reverse_allocation(
-    len: usize,
-    allocation_size: usize,
-    max_allocations: usize,
-) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    if allocation_size == 0 || len == 0 {
-        return out;
-    }
-    for i in 1..=max_allocations {
-        let size = (i * allocation_size).min(len);
-        out.push((len - size, len));
-        if size == len {
-            break;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn frame(n: usize) -> TimeSeriesFrame {
         TimeSeriesFrame::univariate((0..n).map(|i| i as f64).collect())
-    }
-
-    #[test]
-    fn eighty_twenty_split() {
-        let (tr, te) = train_test_split(&frame(100), 0.8);
-        assert_eq!(tr.len(), 80);
-        assert_eq!(te.len(), 20);
-        // temporal order: test follows train
-        assert_eq!(tr.series(0)[79], 79.0);
-        assert_eq!(te.series(0)[0], 80.0);
-    }
-
-    #[test]
-    fn split_always_leaves_data_both_sides_when_possible() {
-        let (tr, te) = train_test_split(&frame(10), 0.0);
-        assert_eq!(tr.len(), 1);
-        assert_eq!(te.len(), 9);
-        let (tr, te) = train_test_split(&frame(10), 1.0);
-        assert_eq!(tr.len(), 9);
-        assert_eq!(te.len(), 1);
     }
 
     #[test]
@@ -97,29 +34,5 @@ mod tests {
         let (tr, ho) = holdout_split(&frame(5), 10);
         assert_eq!(tr.len(), 0);
         assert_eq!(ho.len(), 5);
-    }
-
-    #[test]
-    fn reverse_allocation_contains_most_recent_data() {
-        let allocs = reverse_allocation(100, 10, 5);
-        assert_eq!(
-            allocs,
-            vec![(90, 100), (80, 100), (70, 100), (60, 100), (50, 100)]
-        );
-        // every allocation ends at the end of the training data
-        assert!(allocs.iter().all(|&(_, e)| e == 100));
-    }
-
-    #[test]
-    fn reverse_allocation_stops_at_full_coverage() {
-        let allocs = reverse_allocation(25, 10, 5);
-        assert_eq!(allocs, vec![(15, 25), (5, 25), (0, 25)]);
-    }
-
-    #[test]
-    fn reverse_allocation_degenerate() {
-        assert!(reverse_allocation(0, 10, 5).is_empty());
-        assert!(reverse_allocation(10, 0, 5).is_empty());
-        assert!(reverse_allocation(10, 5, 0).is_empty());
     }
 }

@@ -713,8 +713,8 @@ fn token_hits(path: &str, ft: &FileTokens, cfg: &Config) -> Vec<(Rule, usize, St
                             line,
                             format!(
                                 "raw `{id}::new`; construct locks through \
-                                 `linalg::sync::OrderedMutex`/`OrderedRwLock` so they \
-                                 participate in lock-order tracking"
+                                 `linalg::sync::OrderedMutex` so they participate in \
+                                 lock-order tracking"
                             ),
                         ));
                     }

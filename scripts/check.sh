@@ -26,6 +26,9 @@ fi
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "==> cargo clippy --offline --workspace --all-targets (deny-level lints fail the gate; warn-level findings stay warnings)"
+cargo clippy --offline --workspace --all-targets
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 

@@ -10,9 +10,7 @@ use autoai_ts_repro::linalg::{parallel_try_map_range, Rng64};
 use autoai_ts_repro::transforms::{
     flatten_windows, localized_flatten_windows, DifferenceTransform, LogTransform, Transform,
 };
-use autoai_ts_repro::tsdata::{
-    rank_rows, reverse_allocation, smape, train_test_split, TimeSeriesFrame,
-};
+use autoai_ts_repro::tsdata::{rank_rows, smape, TimeSeriesFrame};
 
 /// Cases per property — comparable coverage to the previous proptest setup.
 const CASES: usize = 64;
@@ -102,42 +100,6 @@ fn window_shapes_are_consistent() {
                 assert_eq!(ds.x[(0, k)], ak);
             }
         }
-    }
-}
-
-#[test]
-fn reverse_allocations_end_at_series_end() {
-    let mut rng = Rng64::seed_from_u64(0x4E5E);
-    for _ in 0..CASES {
-        let len = rng.gen_range(1..500);
-        let alloc = rng.gen_range(1..100);
-        let max = rng.gen_range(1..10);
-        let allocs = reverse_allocation(len, alloc, max);
-        for (start, end) in &allocs {
-            assert_eq!(
-                *end, len,
-                "every reverse allocation contains the most recent data"
-            );
-            assert!(start < end);
-        }
-        // sizes strictly increase until full coverage
-        for w in allocs.windows(2) {
-            assert!(w[1].1 - w[1].0 > w[0].1 - w[0].0);
-        }
-    }
-}
-
-#[test]
-fn train_test_split_preserves_order_and_length() {
-    let mut rng = Rng64::seed_from_u64(0x5917);
-    for _ in 0..CASES {
-        let a = finite_series(&mut rng, 128);
-        let frac = rng.next_f64();
-        let frame = TimeSeriesFrame::univariate(a.clone());
-        let (tr, te) = train_test_split(&frame, frac);
-        assert_eq!(tr.len() + te.len(), a.len());
-        let rejoined: Vec<f64> = tr.series(0).iter().chain(te.series(0)).copied().collect();
-        assert_eq!(rejoined, a);
     }
 }
 
