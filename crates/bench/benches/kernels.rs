@@ -29,6 +29,13 @@
 //! a lag guard at every step that it replaced, on 64 seeded points of a
 //! seasonal (3,1,3)(1,1,1)₁₂ spec. Every mode asserts both give the same
 //! SSE bits on every point; the speed-up is telemetry (`gated: false`).
+//!
+//! The `bats` rows time BATS's smoothing-constant objective
+//! (`bats::smoothing_sse`, one start state and one reused recursion)
+//! against [`naive_bats_sse`], the plain per-point recursion, on 64 seeded
+//! points for 1, 3 and 4 seasonal periods, each without and with trend
+//! (`bats/3+t` is three periods with trend). Every mode asserts equal SSE
+//! bits on every point; the speed-ups are telemetry.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -39,6 +46,7 @@ use autoai_ml_models::{
     Regressor,
 };
 use autoai_stat_models::arima::CssObjective;
+use autoai_stat_models::bats::smoothing_sse;
 use autoai_stat_models::ArimaSpec;
 
 // ---- naive references (the pre-optimization loop shapes) ---------------
@@ -128,6 +136,77 @@ fn naive_css(wc: &[f64], ar_lags: &[usize], ma_lags: &[usize], params: &[f64]) -
         e[t] = et;
         if t >= max_lag {
             sse += et * et;
+        }
+    }
+    sse
+}
+
+/// BATS's smoothing recursion at one raw optimizer point as one plain
+/// loop: fresh seasonal vectors and start state per call, a `t % m` per
+/// period and summand, and the other periods' sum rebuilt with a filter
+/// for every period. The shape `smoothing_sse` replaced, and the bits it
+/// must keep; `+inf` when the recursion goes non-finite.
+fn naive_bats_sse(y: &[f64], use_trend: bool, periods: &[usize], raw: &[f64]) -> f64 {
+    let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
+    let alpha = sigmoid(raw[0]);
+    let beta = if use_trend { sigmoid(raw[1]) } else { 0.0 };
+    let gammas: Vec<f64> = (0..periods.len())
+        .map(|i| sigmoid(raw[2 + i]) * 0.5)
+        .collect();
+    let warmup = periods.iter().copied().max().unwrap_or(1).max(2);
+    let base = y[..warmup].iter().sum::<f64>() / warmup as f64;
+    let mut seasonals: Vec<Vec<f64>> = periods
+        .iter()
+        .map(|&m| {
+            let use_cycles = (y.len() / m).clamp(1, 2);
+            (0..m)
+                .map(|j| {
+                    let mut s = 0.0;
+                    for c in 0..use_cycles {
+                        s += y[c * m + j];
+                    }
+                    let v = s / use_cycles as f64 - base;
+                    if periods.len() > 1 {
+                        v / periods.len() as f64
+                    } else {
+                        v
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut level = base;
+    let mut trend = if use_trend && y.len() > warmup {
+        (y[warmup] - y[0]) / warmup as f64
+    } else {
+        0.0
+    };
+    let mut sse = 0.0;
+    for (t, &x) in y.iter().enumerate() {
+        let season_sum: f64 = periods.iter().zip(&seasonals).map(|(&m, s)| s[t % m]).sum();
+        let err = x - (level + trend + season_sum);
+        if !err.is_finite() {
+            return f64::INFINITY;
+        }
+        if t >= warmup {
+            sse += err * err;
+        }
+        let prev_level = level;
+        level = alpha * (x - season_sum) + (1.0 - alpha) * (level + trend);
+        if use_trend {
+            trend = beta * (level - prev_level) + (1.0 - beta) * trend;
+        }
+        for j in 0..periods.len() {
+            let other: f64 = periods
+                .iter()
+                .zip(&seasonals)
+                .enumerate()
+                .filter(|&(k, _)| k != j)
+                .map(|(_, (&mk, s))| s[t % mk])
+                .sum();
+            let (g, m) = (gammas[j], periods[j]);
+            let slot = &mut seasonals[j][t % m];
+            *slot = g * (x - level - other) + (1.0 - g) * *slot;
         }
     }
     sse
@@ -351,6 +430,78 @@ fn main() {
         gated: false,
     });
 
+    // BATS: the smoothing-constant objective every BATS search hands
+    // Nelder–Mead, over seeded raw points (the optimizer's pre-sigmoid
+    // coordinates) on a seeded multi-seasonal series, for 1, 3 and 4
+    // periods without and with trend. Timed against the plain per-point
+    // recursion, whose SSE bits it must keep; the ratios are telemetry.
+    let (bats_rows, bats_points) = (300, 64);
+    let mut bats_rng = Rng64::seed_from_u64(0xBA75);
+    let bats_series: Vec<f64> = (0..bats_rows)
+        .map(|t| {
+            let t = t as f64;
+            let wave = |p: f64| (2.0 * std::f64::consts::PI * t / p).sin();
+            100.0
+                + 0.2 * t
+                + 15.0 * wave(12.0)
+                + 6.0 * wave(7.0)
+                + 3.0 * wave(24.0)
+                + 4.0 * bats_rng.normal()
+        })
+        .collect();
+    let bats_cases: [(&str, &[usize], bool); 6] = [
+        ("bats/1", &[12], false),
+        ("bats/1+t", &[12], true),
+        ("bats/3", &[7, 12, 24], false),
+        ("bats/3+t", &[7, 12, 24], true),
+        ("bats/4", &[4, 7, 12, 24], false),
+        ("bats/4+t", &[4, 7, 12, 24], true),
+    ];
+    for (name, periods, use_trend) in bats_cases {
+        // runtime period sets, as a fit derives them from its config
+        let periods = black_box(periods.to_vec());
+        let points: Vec<Vec<f64>> = (0..bats_points)
+            .map(|_| {
+                (0..2 + periods.len())
+                    .map(|_| bats_rng.range_f64(-3.0, 3.0))
+                    .collect()
+            })
+            .collect();
+        let fast = smoothing_sse(&bats_series, use_trend, &periods, &points)
+            .expect("bats series longer than its warm-up");
+        for (i, (p, f)) in points.iter().zip(&fast).enumerate() {
+            let slow = naive_bats_sse(&bats_series, use_trend, &periods, p);
+            assert!(f.is_finite(), "{name} point {i} went non-finite");
+            assert_eq!(
+                f.to_bits(),
+                slow.to_bits(),
+                "{name} point {i} diverged from the plain recursion: {f:e} vs {slow:e}"
+            );
+        }
+        results.push(KernelResult {
+            name,
+            naive_ms: measure_ms(reps, 2, || {
+                for p in &points {
+                    black_box(naive_bats_sse(
+                        black_box(&bats_series),
+                        use_trend,
+                        &periods,
+                        black_box(p),
+                    ));
+                }
+            }),
+            fast_ms: measure_ms(reps, 2, || {
+                black_box(smoothing_sse(
+                    black_box(&bats_series),
+                    use_trend,
+                    &periods,
+                    black_box(&points),
+                ));
+            }),
+            gated: false,
+        });
+    }
+
     // CART: the AutoEnsembler's GBM and random-forest candidates, fitted on
     // the worker pool as the tournament runs them. Telemetry, not gated —
     // there is no naive reference, only the tree builder's own history.
@@ -383,7 +534,9 @@ fn main() {
             r.speedup(),
             match (r.gated, r.name) {
                 (true, _) => "  [gated >= 2x]",
-                (false, "dot" | "css") => "  [bit-pinned]",
+                (false, name) if name == "dot" || name == "css" || name.starts_with("bats") => {
+                    "  [bit-pinned]"
+                }
                 _ => "",
             }
         );
@@ -406,8 +559,8 @@ fn main() {
             "kernel speedup bar not met: {min_gated:.2}x (need 2x)"
         );
         println!(
-            "smoke: matmul/gram speedups >= 2x, dot bit-pinned, css bit-equal to its reference \
-             loop, references matched"
+            "smoke: matmul/gram speedups >= 2x, dot bit-pinned, css and bats bit-equal to \
+             their reference loops, references matched"
         );
         return;
     }
@@ -433,7 +586,7 @@ fn main() {
          \"gbm_ms\": {gbm_ms:.4}, \"forest_ms\": {forest_ms:.4}, \"gated\": false}}"
     ));
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"css_shape\": [{css_rows}, {css_points}],\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3}\n}}\n",
+        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"css_shape\": [{css_rows}, {css_points}],\n  \"bats_shape\": [{bats_rows}, {bats_points}],\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3}\n}}\n",
         kernel_json.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

@@ -85,43 +85,49 @@ pub fn solve_linear(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
     Ok(x)
 }
 
-/// Cholesky factorization of a symmetric positive definite matrix.
+/// Cholesky factorization of a symmetric positive definite matrix, in
+/// place.
 ///
-/// Returns the lower-triangular factor `L` with `A = L Lᵀ`, or
-/// `Err(Singular)` when the matrix is not (numerically) positive definite.
-pub fn cholesky(a: &Matrix) -> Result<Matrix, SolveError> {
+/// On `Ok`, the lower triangle of `a` (diagonal included) holds the factor
+/// `L` with `A = L Lᵀ`; the strict upper triangle is left as it was. On
+/// `Err(Singular)` (the matrix is not numerically positive definite) `a`
+/// is partly overwritten. Each entry is read from `a` just before its
+/// factor entry replaces it, so the factor has the bits of one built in a
+/// separate matrix, without the n × n copy.
+pub fn cholesky(a: &mut Matrix) -> Result<(), SolveError> {
     let n = a.nrows();
     if a.ncols() != n {
         return Err(SolveError::DimensionMismatch);
     }
-    let mut l = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..=i {
             let mut s = a[(i, j)];
             for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
+                s -= a[(i, k)] * a[(j, k)];
             }
             if i == j {
                 if s <= 1e-14 {
                     return Err(SolveError::Singular);
                 }
-                l[(i, j)] = s.sqrt();
+                a[(i, j)] = s.sqrt();
             } else {
-                l[(i, j)] = s / l[(j, j)];
+                a[(i, j)] = s / a[(j, j)];
             }
         }
     }
-    Ok(l)
+    Ok(())
 }
 
-/// Solve `a * x = b` where `a` is SPD, via Cholesky. Falls back with
-/// `Err(Singular)` when `a` is not positive definite.
-pub fn cholesky_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
+/// Solve `a * x = b` where `a` is SPD, via Cholesky, factoring `a` in place
+/// (see [`cholesky`]). Fails with `Err(Singular)` when `a` is not positive
+/// definite.
+pub fn cholesky_solve(a: &mut Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
     let n = a.nrows();
     if b.len() != n {
         return Err(SolveError::DimensionMismatch);
     }
-    let l = cholesky(a)?;
+    cholesky(a)?;
+    let l = &*a;
     // forward: L y = b
     let mut y = vec![0.0; n];
     for i in 0..n {
@@ -164,7 +170,9 @@ pub fn lstsq_ridge(x: &Matrix, y: &[f64], lambda: f64) -> Result<Vec<f64>, Solve
             g[(i, i)] += lambda;
         }
     }
-    match cholesky_solve(&g, &rhs) {
+    // the factorization overwrites its matrix; the jitter retry below
+    // needs the normal equations intact
+    match cholesky_solve(&mut g.clone(), &rhs) {
         Ok(beta) => Ok(beta),
         Err(_) => {
             // rank-deficient design: stabilize with small jitter proportional
@@ -174,7 +182,7 @@ pub fn lstsq_ridge(x: &Matrix, y: &[f64], lambda: f64) -> Result<Vec<f64>, Solve
             for i in 0..g.nrows() {
                 g[(i, i)] += jitter;
             }
-            cholesky_solve(&g, &rhs)
+            cholesky_solve(&mut g, &rhs)
         }
     }
 }
@@ -230,8 +238,8 @@ mod tests {
     #[test]
     fn cholesky_recovers_factor() {
         // A = L Lᵀ with L = [[2,0],[1,3]]
-        let a = Matrix::from_vec(2, 2, vec![4., 2., 2., 10.]);
-        let l = cholesky(&a).unwrap();
+        let mut l = Matrix::from_vec(2, 2, vec![4., 2., 2., 10.]);
+        cholesky(&mut l).unwrap();
         assert!((l[(0, 0)] - 2.0).abs() < 1e-12);
         assert!((l[(1, 0)] - 1.0).abs() < 1e-12);
         assert!((l[(1, 1)] - 3.0).abs() < 1e-12);
@@ -241,9 +249,101 @@ mod tests {
     fn cholesky_solve_matches_gaussian() {
         let a = Matrix::from_vec(3, 3, vec![6., 2., 1., 2., 5., 2., 1., 2., 4.]);
         let b = [1., 2., 3.];
-        let x1 = cholesky_solve(&a, &b).unwrap();
+        let x1 = cholesky_solve(&mut a.clone(), &b).unwrap();
         let x2 = solve_linear(&a, &b).unwrap();
         assert_close(&x1, &x2, 1e-9);
+    }
+
+    /// The copying factorization `cholesky` replaced: the factor built in
+    /// a separate zeroed matrix, in the same loop order.
+    fn copying_cholesky(a: &Matrix) -> Result<Matrix, SolveError> {
+        let n = a.nrows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = a[(i, j)];
+                for k in 0..j {
+                    s -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if s <= 1e-14 {
+                        return Err(SolveError::Singular);
+                    }
+                    l[(i, j)] = s.sqrt();
+                } else {
+                    l[(i, j)] = s / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// The solve on top of [`copying_cholesky`].
+    fn copying_cholesky_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
+        let n = a.nrows();
+        let l = copying_cholesky(a)?;
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            let mut s = b[i];
+            for k in 0..i {
+                s -= l[(i, k)] * y[k];
+            }
+            y[i] = s / l[(i, i)];
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut s = y[i];
+            for k in (i + 1)..n {
+                s -= l[(k, i)] * x[k];
+            }
+            x[i] = s / l[(i, i)];
+        }
+        Ok(x)
+    }
+
+    #[test]
+    fn in_place_cholesky_matches_copying_factorization_bitwise() {
+        let mut rng = crate::Rng64::seed_from_u64(0xC401);
+        for n in [1, 2, 3, 7, 16, 41] {
+            // X^T X + n I is SPD; an RBF-style kernel matrix is too
+            let x = Matrix::from_vec(
+                n + 3,
+                n,
+                (0..(n + 3) * n).map(|_| rng.range_f64(-2.0, 2.0)).collect(),
+            );
+            let mut gram = x.gram();
+            for i in 0..n {
+                gram[(i, i)] += n as f64;
+            }
+            let mut kernel = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    let d = (i as f64 - j as f64) / n as f64;
+                    kernel[(i, j)] = (-4.0 * d * d).exp() + if i == j { 1e-3 } else { 0.0 };
+                }
+            }
+            for a in [gram, kernel] {
+                let b: Vec<f64> = (0..n).map(|_| rng.range_f64(-5.0, 5.0)).collect();
+                let want_l = copying_cholesky(&a).unwrap();
+                let mut l = a.clone();
+                cholesky(&mut l).unwrap();
+                for i in 0..n {
+                    for j in 0..n {
+                        // lower triangle: the factor; upper: untouched
+                        let want = if j <= i { want_l[(i, j)] } else { a[(i, j)] };
+                        assert_eq!(l[(i, j)].to_bits(), want.to_bits(), "n={n} ({i},{j})");
+                    }
+                }
+                let want_x = copying_cholesky_solve(&a, &b).unwrap();
+                let got_x = cholesky_solve(&mut a.clone(), &b).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got_x), bits(&want_x), "n={n}");
+            }
+        }
+        // a non-SPD matrix fails both ways at the same pivot
+        let bad = Matrix::from_vec(2, 2, vec![1., 2., 2., 1.]);
+        assert_eq!(copying_cholesky(&bad).err(), Some(SolveError::Singular));
+        assert_eq!(cholesky(&mut bad.clone()), Err(SolveError::Singular));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Random forest regression: bootstrap-aggregated CART trees, fitted in
-//! parallel with scoped threads (the paper stresses "efficient, parallel"
-//! search).
+//! parallel on the worker pool (the paper stresses "efficient, parallel"
+//! search), with one tree workspace per worker reused across its trees.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use autoai_linalg::{parallel_try_map_range, Matrix, Rng64};
 
 use crate::api::{MlError, Regressor};
-use crate::tree::{DecisionTreeConfig, DecisionTreeRegressor, FeatureOrders};
+use crate::tree::{DecisionTreeConfig, DecisionTreeRegressor, FeatureOrders, TreeWorkspace};
 
 /// Hyperparameters of the random forest.
 #[derive(Debug, Clone)]
@@ -85,30 +87,64 @@ impl Regressor for RandomForestRegressor {
         let cfg = &self.config;
         // one argsort of the shared design matrix serves every tree
         let shared = FeatureOrders::compute(x);
-        let fits: Vec<Result<DecisionTreeRegressor, MlError>> =
-            parallel_try_map_range(cfg.n_trees, |t| {
-                let mut rng = Rng64::seed_from_u64(cfg.seed.wrapping_add(t as u64 * 7919));
-                let indices: Vec<usize> = (0..n_boot).map(|_| rng.gen_range(0..n)).collect();
-                let tree_cfg = DecisionTreeConfig {
-                    max_depth: cfg.max_depth,
-                    min_samples_split: 2 * cfg.min_samples_leaf,
-                    min_samples_leaf: cfg.min_samples_leaf,
-                    max_features: Some(max_features),
-                    seed: cfg.seed.wrapping_add(t as u64 * 104729 + 1),
-                };
-                let mut tree = DecisionTreeRegressor::with_config(tree_cfg);
-                tree.fit_indices_presorted(x, y, &indices, &shared)?;
-                Ok(tree)
-            })
+        let fit_tree = |t: usize, ws: &mut TreeWorkspace| {
+            let mut rng = Rng64::seed_from_u64(cfg.seed.wrapping_add(t as u64 * 7919));
+            let indices: Vec<usize> = (0..n_boot).map(|_| rng.gen_range(0..n)).collect();
+            let tree_cfg = DecisionTreeConfig {
+                max_depth: cfg.max_depth,
+                min_samples_split: 2 * cfg.min_samples_leaf,
+                min_samples_leaf: cfg.min_samples_leaf,
+                max_features: Some(max_features),
+                seed: cfg.seed.wrapping_add(t as u64 * 104729 + 1),
+            };
+            let mut tree = DecisionTreeRegressor::with_config(tree_cfg);
+            tree.fit_in(x, y, &indices, &shared, ws)?;
+            Ok(tree)
+        };
+        // one pool item per worker, each with one tree workspace; the items
+        // claim trees from a shared cursor, so a worker that joins late
+        // still takes its share. A tree's fit depends only on its index.
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |w| w.get())
+            .min(cfg.n_trees);
+        let next = AtomicUsize::new(0);
+        let claimed = parallel_try_map_range(workers, |_| {
+            let mut ws = TreeWorkspace::default();
+            let mut fitted = Vec::new();
+            loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                if t >= cfg.n_trees {
+                    break fitted;
+                }
+                fitted.push((t, fit_tree(t, &mut ws)));
+            }
+        });
+        let mut fits: Vec<Option<Result<DecisionTreeRegressor, MlError>>> =
+            (0..cfg.n_trees).map(|_| None).collect();
+        let mut panicked = None;
+        for worker in claimed {
+            match worker {
+                Ok(trees) => {
+                    for (t, fit) in trees {
+                        if let Some(slot) = fits.get_mut(t) {
+                            *slot = Some(fit);
+                        }
+                    }
+                }
+                Err(p) => panicked = Some(p),
+            }
+        }
+        // a panicking tree fit is a bug, but it must surface as a typed
+        // error instead of aborting the whole AutoML run; the trees its
+        // worker had claimed are left without a fit
+        self.trees = fits
             .into_iter()
-            // a panicking tree fit is a bug, but it must surface as a typed
-            // error instead of aborting the whole AutoML run
-            .map(|r| match r {
-                Ok(inner) => inner,
-                Err(p) => Err(MlError::new(format!("tree fit panicked: {p}"))),
+            .map(|fit| match (fit, &panicked) {
+                (Some(fit), _) => fit,
+                (None, Some(p)) => Err(MlError::new(format!("tree fit panicked: {p}"))),
+                (None, None) => Err(MlError::new("tree fit was never run")),
             })
-            .collect();
-        self.trees = fits.into_iter().collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(())
     }
 

@@ -143,7 +143,7 @@ impl Regressor for KernelRidgeSvr {
             k[(i, i)] += LAMBDA;
         }
         let targets: Vec<f64> = idx.iter().map(|&i| (y[i] - ym) / ys).collect();
-        self.alphas = cholesky_solve(&k, &targets)
+        self.alphas = cholesky_solve(&mut k, &targets)
             .map_err(|e| MlError::new(format!("kernel solve failed: {e}")))?;
         self.support = support;
         Ok(())

@@ -44,17 +44,29 @@ impl Default for DecisionTreeConfig {
     }
 }
 
+/// One node of a fitted tree, 16 bytes. A leaf has `feature == LEAF` and
+/// holds its prediction in `value`; a split sends a row whose `feature`
+/// is `<= value` (the threshold) to the left child and every other row,
+/// NaN included, to `right`. The left child is always the next node: the
+/// builder reserves a split's slot and then builds its left subtree first.
 #[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+struct Node {
+    value: f64,
+    feature: u32,
+    right: u32,
+}
+
+/// The `feature` of a leaf.
+const LEAF: u32 = u32::MAX;
+
+impl Node {
+    fn leaf(value: f64) -> Self {
+        Self {
+            value,
+            feature: LEAF,
+            right: 0,
+        }
+    }
 }
 
 /// Per-feature argsort of a design matrix, shareable across every tree of a
@@ -187,6 +199,11 @@ impl DecisionTreeRegressor {
                 "decision tree: feature orders were computed for a different matrix",
             ));
         }
+        // nodes store feature and child indices as u32: a tree over m
+        // samples has at most 2m - 1 nodes
+        if x.ncols() >= LEAF as usize || indices.len() > (LEAF / 2) as usize {
+            return Err(MlError::new("decision tree: too many features or samples"));
+        }
         // expand the full-data sort order to this fit's sample multiset: a
         // row drawn k times by the bootstrap appears k times, in sorted
         // position, in every feature's order
@@ -259,7 +276,7 @@ impl DecisionTreeRegressor {
         let node_var: f64 = base.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum();
 
         let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf { value: mean });
+            nodes.push(Node::leaf(mean));
             nodes.len() - 1
         };
 
@@ -385,16 +402,18 @@ impl DecisionTreeRegressor {
                 );
             }
         }
-        // reserve our slot before recursing
+        // reserve our slot before recursing; the left subtree comes first,
+        // so its root is `slot + 1`
         let slot = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: mean });
-        let left = self.build(y, ws, d, lo, lo + mid, depth + 1, rng);
+        self.nodes.push(Node::leaf(mean));
+        self.build(y, ws, d, lo, lo + mid, depth + 1, rng);
         let right = self.build(y, ws, d, lo + mid, hi, depth + 1, rng);
-        self.nodes[slot] = Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
+        // both fit in u32: `fit_in` bounds the feature count and the
+        // sample count, and with it the node count
+        self.nodes[slot] = Node {
+            value: threshold,
+            feature: feature as u32,
+            right: right as u32,
         };
         slot
     }
@@ -451,21 +470,16 @@ impl Regressor for DecisionTreeRegressor {
         assert!(!self.nodes.is_empty(), "DecisionTree::predict before fit");
         let mut cur = 0usize;
         loop {
-            match &self.nodes[cur] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    cur = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
+            let node = &self.nodes[cur];
+            if node.feature == LEAF {
+                return node.value;
             }
+            // tscheck:allow(index): a fitted feature index, below the training column count
+            cur = if row[node.feature as usize] <= node.value {
+                cur + 1
+            } else {
+                node.right as usize
+            };
         }
     }
 
@@ -569,6 +583,11 @@ mod tests {
             max_err = max_err.max((t.predict_row(r) - truth).abs());
         }
         assert!(max_err < 0.05, "max in-sample error {max_err}");
+    }
+
+    #[test]
+    fn nodes_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
     }
 
     #[test]

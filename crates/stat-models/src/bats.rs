@@ -14,10 +14,12 @@
 //! search over the smoothing constants, which hands its objective one
 //! point per call. Each search owns one `EsRecursion`, whose scratch is
 //! sized once and reused from call to call, so an evaluation allocates
-//! nothing. The start state (`EsStart`) is computed once per search, and
-//! each period's position in its cycle is a counter rather than a
-//! `t % m`. The arithmetic keeps the reference recursion's order, so SSEs
-//! and fitted states are bit-identical to it. The four combinations are
+//! nothing. The start state (`EsStart`) is computed once per search. A
+//! run keeps its step state in locals and in one fixed-size array of
+//! per-period lanes for each period count up to five, and each period's
+//! position in its cycle is a counter rather than a `t % m`. The
+//! arithmetic keeps the reference recursion's order, so SSEs and fitted
+//! states are bit-identical to it. The four combinations are
 //! independent searches and run side by side on the shared worker pool
 //! (`parallel_try_map_range`), as do a seeded refit's seed and cold
 //! restarts. Results merge in the fixed grid order, so the selection never
@@ -212,17 +214,34 @@ struct EsPoint {
     sse: f64,
 }
 
+/// One period's step state inside the recursion: its smoothing constant,
+/// the current step's seasonal term and its position in its cycle.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    gamma: f64,
+    /// `1 - gamma`, the weight the old term keeps.
+    keep: f64,
+    /// The current step's seasonal term.
+    cur: f64,
+    /// Position of the current term inside the concatenated cycles.
+    slot: usize,
+    /// The cycle's first position, and one past its last.
+    start: usize,
+    end: usize,
+}
+
 /// The additive multi-seasonal smoothing recursion of one search, run at
 /// one raw optimizer point per call.
 ///
-/// Its scratch (the point's state, seasonal smoothing constants and
+/// Its scratch (the point's smoothing constants and the concatenated
 /// seasonal cycles) is sized once and reused from call to call, so an
 /// evaluation allocates nothing. The start state comes precomputed from
-/// [`EsStart`]. Each period's position in its cycle is a counter advanced
-/// once per step instead of a `t % m` per period and summand. The
-/// arithmetic runs in the reference recursion's exact order, including the
-/// summation order of the seasonal terms, so SSEs and fitted states are
-/// bit-identical to it.
+/// [`EsStart`]. Inside a run the level, trend and SSE live in locals and
+/// each period's step state in one [`Lane`]; the lanes are a fixed-size
+/// array for each period count up to five, so the per-period loops unroll,
+/// and a reused `Vec` above that. The arithmetic runs in the reference
+/// recursion's exact order, including the summation order of the seasonal
+/// terms, so SSEs and fitted states are bit-identical to it.
 struct EsRecursion<'a> {
     y: &'a [f64],
     use_trend: bool,
@@ -233,24 +252,13 @@ struct EsRecursion<'a> {
     gammas: Vec<f64>,
     /// Seasonal cycles of every period, concatenated in period order.
     seasonals: Vec<f64>,
-    /// Start of each period's cycle inside `seasonals`.
-    offsets: Vec<usize>,
-    /// Each period's current slot inside `seasonals`.
-    slots: Vec<usize>,
-    /// The current step's seasonal terms, one per period.
-    cur: Vec<f64>,
+    /// Lanes for period counts above the fixed-size arrays; sized on first
+    /// use.
+    spill: Vec<Lane>,
 }
 
 impl<'a> EsRecursion<'a> {
     fn new(y: &'a [f64], use_trend: bool, periods: &'a [usize], start: &'a EsStart) -> Self {
-        let offsets: Vec<usize> = periods
-            .iter()
-            .scan(0usize, |acc, &m| {
-                let off = *acc;
-                *acc += m;
-                Some(off)
-            })
-            .collect();
         Self {
             y,
             use_trend,
@@ -259,9 +267,7 @@ impl<'a> EsRecursion<'a> {
             point: EsPoint::default(),
             gammas: vec![0.0; periods.len()],
             seasonals: start.seasonals.clone(),
-            slots: offsets.clone(),
-            offsets,
-            cur: vec![0.0; periods.len()],
+            spill: Vec::new(),
         }
     }
 
@@ -287,55 +293,106 @@ impl<'a> EsRecursion<'a> {
         }
         self.seasonals.clear();
         self.seasonals.extend_from_slice(&self.start.seasonals);
-        self.slots.clear();
-        self.slots.extend_from_slice(&self.offsets);
     }
 
     /// Run the loaded point through the whole series; `false` at the first
     /// non-finite one-step error. With `residuals`, the counted one-step
     /// errors are appended in step order.
-    fn run(&mut self, mut residuals: Option<&mut Vec<f64>>) -> bool {
-        let p = &mut self.point;
-        for (t, &x) in self.y.iter().enumerate() {
-            for (c, &slot) in self.cur.iter_mut().zip(&self.slots) {
-                *c = self.seasonals.get(slot).copied().unwrap_or_default();
+    fn run(&mut self, residuals: Option<&mut Vec<f64>>) -> bool {
+        match self.periods.len() {
+            0 => self.run_in::<[Lane; 0]>([], residuals),
+            1 => self.run_in([Lane::default(); 1], residuals),
+            2 => self.run_in([Lane::default(); 2], residuals),
+            3 => self.run_in([Lane::default(); 3], residuals),
+            4 => self.run_in([Lane::default(); 4], residuals),
+            5 => self.run_in([Lane::default(); 5], residuals),
+            p => {
+                let mut spill = std::mem::take(&mut self.spill);
+                spill.resize(p, Lane::default());
+                let ok = self.run_in(spill.as_mut_slice(), residuals);
+                self.spill = spill;
+                ok
             }
-            let season_sum: f64 = self.cur.iter().sum();
-            let fitted = p.level + p.trend + season_sum;
-            let err = x - fitted;
+        }
+    }
+
+    /// [`Self::run`] with the lanes in `lanes`, one per period.
+    fn run_in<L: AsMut<[Lane]>>(
+        &mut self,
+        mut lanes: L,
+        mut residuals: Option<&mut Vec<f64>>,
+    ) -> bool {
+        let lanes = lanes.as_mut();
+        let mut offset = 0;
+        for ((lane, &gamma), &m) in lanes.iter_mut().zip(&self.gammas).zip(self.periods) {
+            *lane = Lane {
+                gamma,
+                keep: 1.0 - gamma,
+                cur: 0.0,
+                slot: offset,
+                start: offset,
+                end: offset + m,
+            };
+            offset += m;
+        }
+        let seasonals = self.seasonals.as_mut_slice();
+        let EsPoint {
+            alpha,
+            beta,
+            mut level,
+            mut trend,
+            mut sse,
+        } = self.point;
+        let (keep_level, keep_trend) = (1.0 - alpha, 1.0 - beta);
+        for (t, &x) in self.y.iter().enumerate() {
+            // every seasonal sum folds from -0.0, the neutral element `Sum`
+            // starts from
+            let mut season_sum = -0.0;
+            for lane in lanes.iter_mut() {
+                // tscheck:allow(strict-index): a lane's slot stays in start..end, inside the cycles
+                lane.cur = seasonals[lane.slot];
+                season_sum += lane.cur;
+            }
+            let err = x - (level + trend + season_sum);
             if !err.is_finite() {
                 return false;
             }
             if t >= self.start.warmup {
-                p.sse += err * err;
+                sse += err * err;
                 if let Some(r) = residuals.as_deref_mut() {
                     r.push(err);
                 }
             }
-            let prev_level = p.level;
-            p.level = p.alpha * (x - season_sum) + (1.0 - p.alpha) * (p.level + p.trend);
+            let prev_level = level;
+            level = alpha * (x - season_sum) + keep_level * (level + trend);
             if self.use_trend {
-                p.trend = p.beta * (p.level - prev_level) + (1.0 - p.beta) * p.trend;
+                trend = beta * (level - prev_level) + keep_trend * trend;
             }
-            // period j's update sees the already-updated terms of the
-            // periods before it, exactly as the reference recursion does
-            for (j, (&g, &slot)) in self.gammas.iter().zip(&self.slots).enumerate() {
-                let (before, rest) = self.cur.split_at(j);
-                let other: f64 = before.iter().chain(rest.iter().skip(1)).sum();
-                if let Some(c) = self.cur.get_mut(j) {
-                    *c = g * (x - p.level - other) + (1.0 - g) * *c;
-                    if let Some(s) = self.seasonals.get_mut(slot) {
-                        *s = *c;
-                    }
+            // period j's update sums the other periods' terms in period
+            // order: the already-updated ones before it, carried in `done`,
+            // then the old ones after it, as the reference recursion does
+            let mut done = -0.0;
+            let mut rest = &mut *lanes;
+            while let [lane, after @ ..] = std::mem::take(&mut rest) {
+                let other = after.iter().fold(done, |s, l| s + l.cur);
+                lane.cur = lane.gamma * (x - level - other) + lane.keep * lane.cur;
+                // tscheck:allow(strict-index): a lane's slot stays in start..end, inside the cycles
+                seasonals[lane.slot] = lane.cur;
+                done += lane.cur;
+                lane.slot += 1;
+                if lane.slot == lane.end {
+                    lane.slot = lane.start;
                 }
-            }
-            for ((slot, &off), &m) in self.slots.iter_mut().zip(&self.offsets).zip(self.periods) {
-                *slot += 1;
-                if *slot == off + m {
-                    *slot = off;
-                }
+                rest = after;
             }
         }
+        self.point = EsPoint {
+            alpha,
+            beta,
+            level,
+            trend,
+            sse,
+        };
         true
     }
 
@@ -358,15 +415,14 @@ impl<'a> EsRecursion<'a> {
         if !self.run(Some(&mut residuals)) {
             return None;
         }
+        let mut cycles = self.seasonals.as_slice();
         let seasonals = self
-            .offsets
+            .periods
             .iter()
-            .zip(self.periods)
-            .map(|(&off, &m)| {
-                self.seasonals
-                    .get(off..off + m)
-                    .unwrap_or_default()
-                    .to_vec()
+            .map(|&m| {
+                let (cycle, rest) = cycles.split_at(m.min(cycles.len()));
+                cycles = rest;
+                cycle.to_vec()
             })
             .collect();
         let p = self.point;
@@ -381,6 +437,23 @@ impl<'a> EsRecursion<'a> {
             sse: p.sse,
         })
     }
+}
+
+/// BATS's smoothing-constant search objective at each raw (pre-sigmoid)
+/// point, evaluated the way one search evaluates its points: one start
+/// state and one reused recursion. `y` is the (possibly Box-Cox
+/// transformed) series; `None` when it is shorter than the warm-up.
+/// The kernels bench times it against the plain recursion and pins its
+/// SSE bits.
+pub fn smoothing_sse(
+    y: &[f64],
+    use_trend: bool,
+    periods: &[usize],
+    points: &[Vec<f64>],
+) -> Option<Vec<f64>> {
+    let start = EsStart::new(y, use_trend, periods)?;
+    let mut rec = EsRecursion::new(y, use_trend, periods, &start);
+    Some(points.iter().map(|p| rec.sse(p)).collect())
 }
 
 /// The models one Box-Cox × trend grid combination produced, in ARMA
@@ -1094,7 +1167,10 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 11) as f64 / (1u64 << 53) as f64) * 6.0 - 3.0
         };
-        for periods in [vec![], vec![6], vec![6, 14, 5, 9]] {
+        // every period count the lane dispatch compiles (0 to 5), then one
+        // past it, which runs on the spill lanes
+        let all = [6, 14, 5, 9, 4, 11];
+        for periods in (0..=all.len()).map(|k| all[..k].to_vec()) {
             for use_trend in [false, true] {
                 let start = EsStart::new(&y, use_trend, &periods).unwrap();
                 // one scratch reused across every point: a stale state

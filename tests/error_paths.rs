@@ -11,25 +11,28 @@ use autoai_ts_repro::tsdata::{mape, smape, TimeSeriesFrame};
 #[test]
 fn cholesky_rejects_non_psd() {
     // negative-definite diagonal: not PSD
-    let a = Matrix::from_rows(&[vec![-1.0, 0.0], vec![0.0, -2.0]]);
-    assert!(matches!(cholesky(&a), Err(SolveError::Singular)));
+    let mut a = Matrix::from_rows(&[vec![-1.0, 0.0], vec![0.0, -2.0]]);
+    assert!(matches!(cholesky(&mut a), Err(SolveError::Singular)));
     // indefinite (saddle) matrix
-    let b = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]);
-    assert!(matches!(cholesky(&b), Err(SolveError::Singular)));
+    let mut b = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]);
+    assert!(matches!(cholesky(&mut b), Err(SolveError::Singular)));
 }
 
 #[test]
 fn cholesky_rejects_singular_and_shape_mismatch() {
     // rank-1 (singular) Gram matrix
-    let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-    assert!(matches!(cholesky(&a), Err(SolveError::Singular)));
+    let mut a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
+    assert!(matches!(cholesky(&mut a), Err(SolveError::Singular)));
     // non-square input
-    let r = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-    assert!(matches!(cholesky(&r), Err(SolveError::DimensionMismatch)));
-    // rhs length mismatch
-    let spd = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 2.0]]);
+    let mut r = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
     assert!(matches!(
-        cholesky_solve(&spd, &[1.0, 2.0, 3.0]),
+        cholesky(&mut r),
+        Err(SolveError::DimensionMismatch)
+    ));
+    // rhs length mismatch
+    let mut spd = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 2.0]]);
+    assert!(matches!(
+        cholesky_solve(&mut spd, &[1.0, 2.0, 3.0]),
         Err(SolveError::DimensionMismatch)
     ));
 }
